@@ -21,13 +21,13 @@ from .errors import GridvarError, GuardError
 from .grid import (
     GridFunction,
     LatticeInterval,
+    _box_cell_mask,
     check_enumeration_guard,
     check_interval_in_grid,
     cell_count,
-    interval_cell_mask,
     intervals_disjoint,
 )
-from .variation import VariationParams, max_weight_packing, variation_bruteforce
+from .variation import VariationParams, _anchor_items, max_weight_packing, variation_bruteforce
 
 PARTITION_CUT_LIMIT = 16  # max total interior cut positions for the partitions method
 
@@ -85,11 +85,8 @@ def _vitali_bruteforce(f: GridFunction, allow_large: bool) -> VitaliResult:
     check_enumeration_guard(f, allow_large)
     boxes = enumerate_boxes(f)
     ncells = cell_count(f)
-    anchored: list[list[tuple[int, int, float]]] = [[] for _ in range(ncells)]
-    for idx, box in enumerate(boxes):
-        mask = interval_cell_mask(box, f.n)
-        low = mask & -mask
-        anchored[low.bit_length() - 1].append((idx, mask, abs(vitali_deviation(f, box))))
+    anchored = _anchor_items(ncells, [_box_cell_mask(b.lower, b.upper, f.n, None) for b in boxes],
+                             [abs(vitali_deviation(f, b)) for b in boxes])
     total, chosen = max_weight_packing(ncells, anchored)
     return VitaliResult(total, tuple(boxes[i] for i in chosen), "brute", True)
 
@@ -160,7 +157,8 @@ def vitali_variation(f: GridFunction, method: str = "brute", budget: int = 100,
                      allow_large: bool = False) -> VitaliResult:
     """Max of sum |deviation| over families of interior-disjoint boxes.
 
-    Methods: "brute" (bitmask dynamic program, guarded), "partitions"
+    Methods: "brute" (the exact packing dynamic program with boxes as items,
+    visiting only reachable cell covers; guarded at 16 cells), "partitions"
     (exhaustive axis-aligned grid partitions; exact too, since refining any
     family to the grid its boxes generate never decreases the sum), and
     "local_search" (add/replace hill climbing, lower bound).

@@ -17,9 +17,10 @@ import numpy as np
 
 from .errors import GridvarError, GuardError
 
-# Exhaustive enumeration over packings (and the bitmask dynamic programs that
-# replace it) is only allowed on grids with at most this many unit cells,
-# unless the caller passes allow_large=True.
+# Exhaustive enumeration over packings (and the exact packing dynamic program,
+# which visits only the cell covers reachable from the empty one) is only
+# allowed on grids with at most this many unit cells, unless the caller passes
+# allow_large=True. The guard counts cells, not the states the program visits.
 ENUMERATION_CELL_LIMIT = 16
 
 
@@ -279,16 +280,18 @@ def check_enumeration_guard(
         )
 
 
-def cube_cell_mask(cube: LatticeCube, grid_n: int, region: LatticeInterval | None = None) -> int:
-    """Bitmask of the unit cells covered by the cube, row-major over the region."""
+def _box_cell_mask(lower: Sequence[int], upper: Sequence[int], grid_n: int,
+                   region: LatticeInterval | None) -> int:
+    """Bitmask of the unit cells of the half-open box [lower, upper), row-major
+    over the region (the whole grid when None)."""
     if region is None:
-        lo = (0,) * cube.d
-        extents = [grid_n - 1] * cube.d
+        lo = (0,) * len(lower)
+        extents = [grid_n - 1] * len(lower)
     else:
         lo = region.lower
         extents = [h - l for l, h in zip(region.lower, region.upper)]
     mask = 0
-    for cell in itertools.product(*(range(o, o + cube.side) for o in cube.origin)):
+    for cell in itertools.product(*(range(a, b) for a, b in zip(lower, upper))):
         idx = 0
         for c, l, m in zip(cell, lo, extents):
             idx = idx * m + (c - l)
@@ -296,16 +299,9 @@ def cube_cell_mask(cube: LatticeCube, grid_n: int, region: LatticeInterval | Non
     return mask
 
 
-def interval_cell_mask(interval: LatticeInterval, grid_n: int) -> int:
-    """Bitmask of unit cells covered by a (fully nondegenerate) box."""
-    m = grid_n - 1
-    mask = 0
-    for cell in itertools.product(*(range(l, h) for l, h in zip(interval.lower, interval.upper))):
-        idx = 0
-        for c in cell:
-            idx = idx * m + c
-        mask |= 1 << idx
-    return mask
+def cube_cell_mask(cube: LatticeCube, grid_n: int, region: LatticeInterval | None = None) -> int:
+    """Bitmask of the unit cells covered by the cube, row-major over the region."""
+    return _box_cell_mask(cube.origin, cube.upper, grid_n, region)
 
 
 def enumerate_packings(

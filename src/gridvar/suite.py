@@ -34,7 +34,7 @@ from .classical import vitali_deviation
 from .differences import finite_difference, osc_directional, osc_k, osc_mixed
 from .errors import GridvarError, UnisolventError
 from .families import generate
-from .grid import GridFunction, LatticeCube, LatticeInterval
+from .grid import GridFunction, LatticeCube, LatticeInterval, enumerate_cubes
 from .grid_io import grid_payload
 from .variation import (
     VariationParams,
@@ -385,7 +385,7 @@ def _run_approx_lp_oracle(cfg: SuiteConfig) -> Iterator[CellResult]:
         for d, n, orders in ((1, 5, (1, 2, 3)), (2, 4, (1, 2))):
             f = generate("uniform", [seed, d, 15], d=d, n=n)
             rng = _rng(seed, d, 37)
-            cubes = [c for c in _all_cubes(d, n) if c.point_count() <= 12]
+            cubes = [c for c in enumerate_cubes(f) if c.point_count() <= 12]
             picks = rng.choice(len(cubes), size=min(4, len(cubes)), replace=False)
             for k in orders:
                 for i in picks:
@@ -396,15 +396,6 @@ def _run_approx_lp_oracle(cfg: SuiteConfig) -> Iterator[CellResult]:
                     checks.append((abs(lp - ref) - tol,
                                    f"lp vs subsets d={d} k={k} cube={cube}"))
         yield _cell("approx.lp-matches-subset-oracle", "uniform", seed, checks)
-
-
-def _all_cubes(d: int, n: int) -> list[LatticeCube]:
-    out = []
-    for side in range(1, n):
-        for origin in itertools.product(range(n - side), repeat=d):
-            out.append(LatticeCube(origin, side))
-    out.sort()
-    return out
 
 
 # ---------------------------------------------------------------------------

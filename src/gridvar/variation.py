@@ -5,12 +5,15 @@ The (k,p)-variation of f over a region S is
     sup over packings pi of cubes in S of ( sum_{Q in pi} w(f;Q)^p )^(1/p),
 
 with per-cube weight w either the minimax error e_k or the oscillation
-osc_k. Exact maximization (brute force) runs a dynamic program over bitmasks
-of covered unit cells, which is an exhaustive search in disguise and is
-guarded accordingly. Two scalable lower-bound methods are provided: a
-recursion over the dyadic cube tree, and hill-climbing local search over
-packings. Both are certified lower bounds because every packing's objective
-is one.
+osc_k. Exact maximization (brute force) runs one dynamic program,
+max_weight_packing, over the covers of unit cells reachable by filling the
+lowest free cell (skip it, or place a cube anchored there); the capped
+variants and the Vitali brute force run on the same engine. It visits far
+fewer states than the 2^cells covers (cells + 1 of them in one dimension),
+but it is still an exhaustive search and keeps the 16-cell guard of packing
+enumeration. Two scalable lower-bound methods are provided: a recursion over
+the dyadic cube tree, and hill-climbing local search over packings. Both are
+certified lower bounds because every packing's objective is one.
 
 Capped variants restrict the packings: a cap on every cube's volume (the
 fine-mesh modulus) or on the total volume of the packing (the absolute
@@ -22,10 +25,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Callable, Iterable, Sequence
-
-import numpy as np
 
 from .approx import e_k
 from .differences import osc_k
@@ -39,6 +39,7 @@ from .grid import (
     cell_count,
     cube_cell_mask,
     enumerate_cubes,
+    is_packing,
 )
 
 WEIGHT_KINDS = ("e_k", "osc_k")
@@ -97,71 +98,97 @@ def packing_objective(f: GridFunction, packing: Packing | Iterable[LatticeCube],
                       params: VariationParams) -> float:
     """(sum of w(f;Q)^p over the packing)^(1/p); empty packings give 0."""
     cubes = list(packing)
-    if not is_valid_candidate_packing(cubes):
+    if not is_packing(cubes):
         raise GridvarError("objective needs pairwise-disjoint cubes")
     total = math.fsum(cube_weight(f, c, params) ** params.p for c in cubes)
     return total ** (1.0 / params.p)
 
 
-def is_valid_candidate_packing(cubes: Sequence[LatticeCube]) -> bool:
-    from .grid import is_packing
-
-    return is_packing(cubes)
-
-
-def _lowest_free_cell(mask: int, full: int) -> int:
-    inv = ~mask & full
-    low = inv & -inv
-    return low.bit_length() - 1
-
-
-def max_weight_packing(ncells: int,
-                       anchored: list[list[tuple[int, int, float]]]) -> tuple[float, list[int]]:
+def max_weight_packing(ncells: int, anchored: list[list[tuple[int, int, float]]], *,
+                       budget: int | None = None) -> tuple[float, list[int]]:
     """Maximize the sum of weights over disjoint items on a cell set.
 
     `anchored[c]` lists (item_index, cell_mask, weight) for items whose lowest
-    cell is c, in ascending item order. Returns the exact maximum and the
-    lexicographically smallest achieving item list (item order, with a
-    shorter achieving prefix preferred), reconstructed bit-exactly from the
-    table. Zero-weight items never appear in the reconstruction: skipping
-    such an item's anchor cell leaves the exact same continuation sums
-    available, so the target is still met bit-for-bit.
+    cell is c, in ascending item order; an item covers cell_mask.bit_count()
+    cells. With a `budget`, the chosen items cover at most that many cells.
+
+    The table holds only the states reachable from the empty cover by filling
+    the lowest free cell: skip it, or place an item anchored there. A state is
+    (covered mask, cells left), with cells left clamped to the free cells, so
+    an unbudgeted run has exactly one state per reachable mask. Returns the
+    exact maximum and the lexicographically smallest achieving item list
+    (item order, with a shorter achieving prefix preferred), reconstructed
+    bit-exactly from the table. Zero-weight items never appear in the
+    reconstruction: skipping such an item's anchor cell leaves the exact same
+    continuation sums available, so the target is still met bit-for-bit.
     """
     full = (1 << ncells) - 1
-    table = np.zeros(full + 1)
-    for mask in range(full - 1, -1, -1):
-        c = _lowest_free_cell(mask, full)
-        best = table[mask | (1 << c)]
-        for _, cmask, w in anchored[c]:
-            if cmask & mask == 0:
-                v = w + table[mask | cmask]
-                if v > best:
-                    best = v
-        table[mask] = best
+
+    def moves(mask: int, left: int):
+        """The skip state, and (item, weight, state) for each item that fits."""
+        low = ~mask & (mask + 1)  # the lowest free cell
+        skip = (mask | low, min(left, ncells - 1 - mask.bit_count()))
+        places = []
+        for idx, cmask, w in anchored[low.bit_length() - 1]:
+            size = cmask.bit_count()
+            if size <= left and cmask & mask == 0:
+                places.append((idx, w, (mask | cmask, left - size)))
+        return skip, places
+
+    start = (0, ncells if budget is None else min(budget, ncells))
+    table: dict[tuple[int, int], float] = {}
+    stack = [start]
+    while stack:  # depth first: a state is valued once all its successors are
+        state = stack[-1]
+        if state[0] == full:
+            table[stack.pop()] = 0.0
+            continue
+        skip, places = moves(*state)
+        todo = [s for s in (skip, *(nxt for _, _, nxt in places)) if s not in table]
+        if todo:
+            stack += todo
+            continue
+        best = table[skip]
+        for _, w, nxt in places:
+            v = w + table[nxt]
+            if v > best:
+                best = v
+        table[stack.pop()] = best
     chosen: list[int] = []
-    mask = 0
-    while mask != full and table[mask] > 0.0:
-        c = _lowest_free_cell(mask, full)
-        target = table[mask]
-        for idx, cmask, w in anchored[c]:
-            if cmask & mask == 0 and w > 0.0 and w + table[mask | cmask] == target:
+    state = start
+    while state[0] != full and table[state] > 0.0:
+        skip, places = moves(*state)
+        target = table[state]
+        for idx, w, nxt in places:
+            if w > 0.0 and w + table[nxt] == target:
                 chosen.append(idx)
-                mask |= cmask
+                state = nxt
                 break
         else:
-            mask |= 1 << c
-    return float(table[0]), chosen
+            state = skip
+    return float(table[start]), chosen
 
 
-def _anchored_cubes(cubes: Sequence[LatticeCube], weights: Sequence[float], p: float,
-                    n: int, ncells: int,
-                    region: LatticeInterval | None) -> list[list[tuple[int, int, float]]]:
+def _anchor_items(ncells: int, masks: Sequence[int],
+                  weights: Sequence[float]) -> list[list[tuple[int, int, float]]]:
+    """Group items (index, mask, weight) by their lowest cell, in item order."""
     anchored: list[list[tuple[int, int, float]]] = [[] for _ in range(ncells)]
-    for idx, (cube, w) in enumerate(zip(cubes, weights)):
-        mask = cube_cell_mask(cube, n, region)
-        low = mask & -mask
-        anchored[low.bit_length() - 1].append((idx, mask, w**p))
+    for idx, (mask, w) in enumerate(zip(masks, weights)):
+        anchored[(mask & -mask).bit_length() - 1].append((idx, mask, w))
     return anchored
+
+
+def _exact_packing(f: GridFunction, params: VariationParams, cubes: Sequence[LatticeCube],
+                   region: LatticeInterval | None,
+                   budget: int | None = None) -> tuple[float, list[int]]:
+    """max_weight_packing over the cubes, with item weights w(f;Q)^p."""
+    # a negative round-off e_k to a fractional power is complex: it adds nothing
+    weight = _weight_fn(f, params)
+    powered = [weight(c) ** params.p for c in cubes]
+    ncells = cell_count(f, region)
+    anchored = _anchor_items(ncells, [cube_cell_mask(c, f.n, region) for c in cubes],
+                             [0.0 if isinstance(w, complex) else w for w in powered])
+    return max_weight_packing(ncells, anchored, budget=budget)
 
 
 def variation_bruteforce(
@@ -182,11 +209,7 @@ def variation_bruteforce(
     cubes = enumerate_cubes(f, 1, region)
     if _cube_filter is not None:
         cubes = [c for c in cubes if _cube_filter(c)]
-    weight = _weight_fn(f, params)
-    weights = [weight(c) for c in cubes]
-    ncells = cell_count(f, region)
-    anchored = _anchored_cubes(cubes, weights, params.p, f.n, ncells, region)
-    total, chosen = max_weight_packing(ncells, anchored)
+    total, chosen = _exact_packing(f, params, cubes, region)
     return VariationResult(
         value=total ** (1.0 / params.p),
         optimizer=Packing(tuple(cubes[i] for i in chosen)),
@@ -382,34 +405,10 @@ def ac_modulus(f: GridFunction, params: VariationParams, volume_cap: float,
     if volume_cap <= 0:
         raise GridvarError(f"volume_cap must be > 0, got {volume_cap}")
     check_enumeration_guard(f, allow_large)
-    cubes = enumerate_cubes(f, 1)
-    weight = _weight_fn(f, params)
-    weights = [weight(c) for c in cubes]
-    ncells = cell_count(f)
-    budget = int(math.floor(volume_cap * ncells + 1e-9))  # cap in unit cells
+    budget = int(math.floor(volume_cap * cell_count(f) + 1e-9))  # cap in unit cells
     if budget <= 0:
         return 0.0
-    anchored = _anchored_cubes(cubes, weights, params.p, f.n, ncells, None)
-    cells_of = {}
-    for lists in anchored:
-        for idx, cmask, w in lists:
-            cells_of[idx] = cubes[idx].side ** f.d
-    full = (1 << ncells) - 1
-
-    @lru_cache(maxsize=None)
-    def rec(mask: int, left: int) -> float:
-        if mask == full:
-            return 0.0
-        c = _lowest_free_cell(mask, full)
-        best = rec(mask | (1 << c), left)
-        for idx, cmask, w in anchored[c]:
-            need = cells_of[idx]
-            if need <= left and cmask & mask == 0:
-                best = max(best, w + rec(mask | cmask, left - need))
-        return best
-
-    total = rec(0, budget)
-    rec.cache_clear()
+    total, _ = _exact_packing(f, params, enumerate_cubes(f, 1), None, budget)
     return total ** (1.0 / params.p)
 
 

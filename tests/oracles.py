@@ -103,6 +103,22 @@ def variation_oracle(f: GridFunction, k: int, p: float, weight_fn,
     return (best ** (1.0 / p) if best > 0.0 else 0.0), best_packing
 
 
+def interval_variation_oracle(n: int, p: float, weight_fn) -> float:
+    """Exact 1-d variation by an O(n^2) dynamic program over [0, n-1].
+
+    best[j] is the max of sum w(i, l)^p over packings of intervals [i, l]
+    inside [0, j]: either step j-1..j is left uncovered, or the last
+    interval [i, j] is added to the best packing inside [0, i]. Weights of
+    the interval [i, j] come from the caller as weight_fn(i, j).
+    """
+    best = [0.0] * n
+    for j in range(1, n):
+        best[j] = best[j - 1]
+        for i in range(j):
+            best[j] = max(best[j], best[i] + weight_fn(i, j) ** p)
+    return best[-1] ** (1.0 / p)
+
+
 def corner_sum(f: GridFunction, interval: LatticeInterval) -> float:
     """Alternating sum of f over the corners of a d-interval."""
     total = []

@@ -19,7 +19,7 @@ from gridvar.variation import (
     variation_local_search,
 )
 
-from oracles import variation_oracle
+from oracles import all_cubes, all_packings, interval_variation_oracle, variation_oracle
 
 
 def test_params_validation():
@@ -46,25 +46,23 @@ def test_packing_objective_rejects_overlap():
 
 def test_bruteforce_matches_exhaustive_oracle():
     rng = np.random.default_rng(0)
-    cases = [(1, 3), (1, 4), (1, 5), (2, 3)]
-    for d, n in cases:
-        for seed in range(3):
-            f = GridFunction(rng.uniform(-1, 1, size=(n,) * d))
-            for k in (1, 2):
-                for p in (1.0, 2.0):
-                    for weight in ("e_k", "osc_k"):
-                        params = VariationParams(k=k, p=p, weight=weight)
-                        res = variation_bruteforce(f, params)
-                        want_val, want_opt = variation_oracle(
-                            f, k, p, lambda c: cube_weight(f, c, params)
-                        )
-                        assert res.value == pytest.approx(want_val, abs=1e-12), (
-                            d, n, seed, k, p, weight,
-                        )
-                        assert tuple(res.optimizer) == want_opt, (
-                            d, n, seed, k, p, weight,
-                        )
-                        assert res.is_exact and res.method == "brute"
+    cases = [(1, 3), (1, 4), (1, 5), (2, 3), (2, 4)]
+    grids = [rng.uniform(-1, 1, size=(n,) * d) for d, n in cases for _ in range(3)]
+    # integer values make many cube weights tie exactly, pinning the tie-breaking
+    grids += [np.round(rng.uniform(-2, 2, size=(n,) * d)) for d, n in cases for _ in range(2)]
+    for i, vals in enumerate(grids):
+        f = GridFunction(vals)
+        for k in (1, 2):
+            for p in (1.0, 2.0):
+                for weight in ("e_k", "osc_k"):
+                    params = VariationParams(k=k, p=p, weight=weight)
+                    res = variation_bruteforce(f, params)
+                    want_val, want_opt = variation_oracle(
+                        f, k, p, lambda c: cube_weight(f, c, params)
+                    )
+                    assert res.value == pytest.approx(want_val, abs=1e-12), (i, k, p, weight)
+                    assert tuple(res.optimizer) == want_opt, (i, k, p, weight)
+                    assert res.is_exact and res.method == "brute"
 
 
 def test_point_mass_value():
@@ -224,6 +222,58 @@ def test_ac_modulus_monotone():
     caps = (0.25, 0.5, 0.75, 1.0)
     vals = [ac_modulus(f, params, c) for c in caps]
     assert all(a <= b + 1e-12 for a, b in zip(vals, vals[1:]))
+
+
+@pytest.mark.parametrize("d, n", [(2, 4), (1, 6)])
+def test_ac_modulus_matches_volume_filtered_oracle(d, n):
+    rng = np.random.default_rng(10 + d)
+    f = GridFunction(rng.uniform(-1, 1, size=(n,) * d))
+    packings = list(all_packings(all_cubes(d, n)))
+    volumes = [math.fsum(c.volume(n) for c in pk) for pk in packings]
+    ncells = (n - 1) ** d
+    for params in (VariationParams(k=1, p=1.0), VariationParams(k=2, p=2.0, weight="osc_k")):
+        w = {c: cube_weight(f, c, params) ** params.p for c in all_cubes(d, n)}
+        sums = [math.fsum(w[c] for c in pk) for pk in packings]
+        for j in range(1, ncells + 1):
+            cap = j / ncells
+            want = max(s for s, v in zip(sums, volumes) if v <= cap + 1e-9)
+            got = ac_modulus(f, params, cap)
+            assert got == pytest.approx(want ** (1.0 / params.p), abs=1e-12), (params, j)
+
+
+def test_ac_modulus_full_cap_equals_bruteforce_bitwise():
+    rng = np.random.default_rng(11)
+    grids = [
+        rng.uniform(-1, 1, size=(4, 4)),
+        np.round(rng.uniform(-2, 2, size=9)),
+        # the LP gives e_3 of some unit cells here as a tiny negative round-off,
+        # which is complex to the power 3.5
+        np.round(np.random.default_rng(2040).uniform(-2, 2, size=(4, 4))),
+    ]
+    for vals in grids:
+        f = GridFunction(vals)
+        for k in (1, 2, 3):
+            for weight in ("e_k", "osc_k"):
+                for p in (1.0, 2.0, 3.5):
+                    params = VariationParams(k=k, p=p, weight=weight)
+                    assert ac_modulus(f, params, 1.0) == variation_bruteforce(f, params).value
+
+
+@pytest.mark.parametrize("weight", ["osc_k", "e_k"])
+@pytest.mark.parametrize("p", [1.0, 2.0])
+def test_bruteforce_past_guard_matches_interval_dp(weight, p):
+    # 40 cells: a dense 2^cells table would be out of reach; reachable states are 41
+    n = 41
+    vals = np.random.default_rng(12).standard_normal(n).cumsum()
+    f = GridFunction(vals)
+
+    def weight_fn(i: int, j: int) -> float:
+        spread = float(vals[i : j + 1].max() - vals[i : j + 1].min())
+        return spread if weight == "osc_k" else spread / 2  # k=1: osc, best constant
+
+    res = variation_bruteforce(f, VariationParams(k=1, p=p, weight=weight), allow_large=True)
+    assert res.value == pytest.approx(interval_variation_oracle(n, p, weight_fn), rel=1e-12)
+    assert res.is_exact
 
 
 def test_holder_seminorm_identity_map():
