@@ -147,7 +147,7 @@ def best_minimax_poly(f: GridFunction, cube: LatticeCube, k: int) -> ApproxResul
     except LPError as exc:
         raise LPError(f"minimax LP failed on cube {cube.origin} side {cube.side}, k={k}: {exc}") from exc
 
-    value = float(sol.x[0])
+    value = max(float(sol.x[0]), 0.0)  # a max of absolute values: below 0 is round-off
     coef = sol.x[1 : 1 + M] - sol.x[1 + M : 1 + 2 * M]
     minimizer = make_polynomial(center, scale, dict(zip(alphas, coef)))
     err = np.abs(fvals - phi @ coef)

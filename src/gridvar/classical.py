@@ -25,7 +25,6 @@ from .grid import (
     check_enumeration_guard,
     check_interval_in_grid,
     cell_count,
-    intervals_disjoint,
 )
 from .variation import VariationParams, _anchor_items, max_weight_packing, variation_bruteforce
 
@@ -123,34 +122,35 @@ def _vitali_partitions(f: GridFunction, allow_large: bool) -> VitaliResult:
 
 def _vitali_local_search(f: GridFunction, budget: int) -> VitaliResult:
     boxes = enumerate_boxes(f)
-    dev = {box: abs(vitali_deviation(f, box)) for box in boxes}
-    current: list[LatticeInterval] = []
+    dev = [abs(vitali_deviation(f, box)) for box in boxes]
+    masks = [_box_cell_mask(b.lower, b.upper, f.n, None) for b in boxes]
+    current: list[int] = []
+    used = 0  # the current boxes are disjoint: the others of i cover used ^ masks[i]
 
-    def disjoint_from(box: LatticeInterval, others: Sequence[LatticeInterval]) -> bool:
-        return all(intervals_disjoint(box, o) for o in others)
-
-    def find_move() -> tuple[list[LatticeInterval], float] | None:
-        for cand in boxes:
-            if dev[cand] > 0.0 and disjoint_from(cand, current):
-                return current + [cand], dev[cand]
-        for box in current:
-            rest = [o for o in current if o != box]
-            for cand in boxes:
-                if cand != box and disjoint_from(cand, rest):
-                    gain = dev[cand] - dev[box]
-                    if gain > 0.0:
-                        return rest + [cand], gain
+    def find_move() -> tuple[int | None, int] | None:
+        """First strictly-improving move (dropped index or None, added index)."""
+        for j, mask in enumerate(masks):
+            if dev[j] > 0.0 and mask & used == 0:
+                return None, j
+        for i in current:
+            rest = used ^ masks[i]
+            for j, mask in enumerate(masks):
+                if j != i and mask & rest == 0 and dev[j] - dev[i] > 0.0:
+                    return i, j
         return None
 
-    steps = 0
-    while steps < budget:
+    for _ in range(budget):
         move = find_move()
         if move is None:
             break
-        current = sorted(move[0])
-        steps += 1
-    value = math.fsum(dev[b] for b in current)
-    return VitaliResult(value, tuple(current), "local_search", False)
+        i, j = move
+        if i is not None:
+            current.remove(i)
+            used ^= masks[i]
+        current = sorted(current + [j])
+        used |= masks[j]
+    value = math.fsum(dev[i] for i in current)
+    return VitaliResult(value, tuple(boxes[i] for i in current), "local_search", False)
 
 
 def vitali_variation(f: GridFunction, method: str = "brute", budget: int = 100,

@@ -198,17 +198,21 @@ def cubes_disjoint(a: LatticeCube, b: LatticeCube) -> bool:
     )
 
 
-def intervals_disjoint(a: LatticeInterval, b: LatticeInterval) -> bool:
-    """Interior disjointness of closed boxes, as half-open [lower, upper)."""
-    return any(au <= bl or bu <= al for al, au, bl, bu in zip(a.lower, a.upper, b.lower, b.upper))
-
-
 def is_packing(cubes: Iterable[LatticeCube]) -> bool:
-    """True iff the cubes are pairwise disjoint (interiors and shared cells)."""
-    cs = list(cubes)
+    """True iff the cubes share one dimension and are pairwise disjoint.
+
+    Sorted by origin, a cube can only meet the later cubes that start on the
+    first axis before it ends there.
+    """
+    cs = sorted(cubes)
+    if len({c.d for c in cs}) > 1:
+        return False
     for i, a in enumerate(cs):
-        for b in cs[i + 1 :]:
-            if a.d != b.d or not cubes_disjoint(a, b):
+        end = a.origin[0] + a.side
+        for j in range(i + 1, len(cs)):
+            if cs[j].origin[0] >= end:
+                break
+            if not cubes_disjoint(a, cs[j]):
                 return False
     return True
 

@@ -17,11 +17,14 @@ certified lower bounds because every packing's objective is one.
 
 Capped variants restrict the packings: a cap on every cube's volume (the
 fine-mesh modulus) or on the total volume of the packing (the absolute
-continuity modulus).
+continuity modulus). Both caps are applied as lattice integers: a mesh cap
+becomes the largest admissible cube side, and a volume cap becomes a budget
+of unit cells, the same for ac_modulus and local search.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -35,6 +38,7 @@ from .grid import (
     LatticeCube,
     LatticeInterval,
     Packing,
+    check_cube_in_grid,
     check_enumeration_guard,
     cell_count,
     cube_cell_mask,
@@ -83,15 +87,30 @@ def cube_weight(f: GridFunction, cube: LatticeCube, params: VariationParams) -> 
 
 
 def _weight_fn(f: GridFunction, params: VariationParams) -> Callable[[LatticeCube], float]:
+    """Memoized powered weight w(f;Q)^p, the item value of every optimizer."""
     cache: dict[LatticeCube, float] = {}
 
     def weight(cube: LatticeCube) -> float:
         got = cache.get(cube)
         if got is None:
-            got = cache[cube] = cube_weight(f, cube, params)
+            got = cache[cube] = cube_weight(f, cube, params) ** params.p
         return got
 
     return weight
+
+
+def _max_side(f: GridFunction, mesh_cap: float | None) -> int:
+    """Largest cube side whose volume is at most mesh_cap (0 if none is)."""
+    if mesh_cap is None:
+        return f.n - 1
+    origin = (0,) * f.d
+    return max((s for s in range(1, f.n) if LatticeCube(origin, s).volume(f.n) <= mesh_cap + 1e-12),
+               default=0)
+
+
+def _cell_budget(f: GridFunction, volume_cap: float) -> int:
+    """A cap on total volume, as a number of unit cells."""
+    return int(math.floor(volume_cap * cell_count(f) + 1e-9))
 
 
 def packing_objective(f: GridFunction, packing: Packing | Iterable[LatticeCube],
@@ -182,12 +201,10 @@ def _exact_packing(f: GridFunction, params: VariationParams, cubes: Sequence[Lat
                    region: LatticeInterval | None,
                    budget: int | None = None) -> tuple[float, list[int]]:
     """max_weight_packing over the cubes, with item weights w(f;Q)^p."""
-    # a negative round-off e_k to a fractional power is complex: it adds nothing
     weight = _weight_fn(f, params)
-    powered = [weight(c) ** params.p for c in cubes]
     ncells = cell_count(f, region)
     anchored = _anchor_items(ncells, [cube_cell_mask(c, f.n, region) for c in cubes],
-                             [0.0 if isinstance(w, complex) else w for w in powered])
+                             [weight(c) for c in cubes])
     return max_weight_packing(ncells, anchored, budget=budget)
 
 
@@ -220,12 +237,15 @@ def variation_bruteforce(
     )
 
 
-def _dyadic_children(cube: LatticeCube) -> list[LatticeCube]:
+@functools.lru_cache(maxsize=4096)
+def _dyadic_children(cube: LatticeCube) -> tuple[LatticeCube, ...]:
+    """The 2^d half-side subcubes. Memoized, so the optimizers of many dyadic
+    runs on one grid shape share their cube objects instead of copying them."""
     half = cube.side // 2
-    return [
+    return tuple(
         LatticeCube(tuple(o + b * half for o, b in zip(cube.origin, bits)), half)
         for bits in itertools.product((0, 1), repeat=cube.d)
-    ]
+    )
 
 
 def variation_dyadic(f: GridFunction, params: VariationParams,
@@ -240,10 +260,10 @@ def variation_dyadic(f: GridFunction, params: VariationParams,
     if m & (m - 1):
         raise GuardError(f"non-dyadic grid: n - 1 = {m} is not a power of two")
     weight = _weight_fn(f, params)
+    max_side = _max_side(f, mesh_cap)
 
     def rec(cube: LatticeCube) -> tuple[float, list[LatticeCube]]:
-        allowed = mesh_cap is None or cube.volume(f.n) <= mesh_cap + 1e-12
-        wp = weight(cube) ** params.p if allowed else None
+        wp = weight(cube) if cube.side <= max_side else None
         if cube.side == 1:
             total, chosen = 0.0, []
         else:
@@ -275,104 +295,78 @@ def variation_local_search(
 ) -> VariationResult:
     """First-improvement hill climbing over packings (lower bound, heuristic).
 
-    Moves are scanned in a fixed order (grow, add, replace, shrink, remove)
-    over candidates in (origin, side) order, so the result is a
-    deterministic function of the seed and budget; each accepted move costs
-    one unit of budget and strictly increases the objective. budget = 0
-    returns the seed packing's objective.
+    Moves are scanned in a fixed order (grow, add, replace, shrink) over
+    candidates in (origin, side) order, so the result is a deterministic
+    function of the seed and budget; each accepted move costs one unit of
+    budget and strictly increases the objective. budget = 0 returns the seed
+    packing's objective.
     """
     if budget < 0:
         raise GridvarError(f"budget must be >= 0, got {budget}")
-    seed_cubes = list(seed) if seed is not None else []
+    max_side = _max_side(f, mesh_cap)
+    cell_budget = math.inf if volume_cap is None else _cell_budget(f, volume_cap)
+    # the candidate table: a cube's grown and shrunk sides are its neighbours
+    cands = [c for c in enumerate_cubes(f, 1) if c.side <= max_side]
+    index = {c: i for i, c in enumerate(cands)}
+    masks = [cube_cell_mask(c, f.n) for c in cands]
+    sizes = [c.side**f.d for c in cands]
     weight = _weight_fn(f, params)
 
-    def vol(cube: LatticeCube) -> float:
-        return cube.volume(f.n)
-
-    def fits_mesh(cube: LatticeCube) -> bool:
-        return mesh_cap is None or vol(cube) <= mesh_cap + 1e-12
-
-    candidates = [c for c in enumerate_cubes(f, 1) if fits_mesh(c)]
+    seed_cubes = list(seed) if seed is not None else []
     for cube in seed_cubes:
-        if not fits_mesh(cube):
+        check_cube_in_grid(cube, f)
+        if cube.side > max_side:
             raise GridvarError("seed packing violates the mesh cap")
-    if volume_cap is not None and math.fsum(vol(c) for c in seed_cubes) > volume_cap + 1e-12:
+    current = sorted(index[c] for c in seed_cubes)
+    used = 0  # the current cubes are disjoint: the others of i cover used ^ masks[i]
+    for i in current:
+        used |= masks[i]
+    cells = sum(sizes[i] for i in current)
+    if cells > cell_budget:
         raise GridvarError("seed packing violates the volume cap")
 
-    current = sorted(seed_cubes)
-    masks = {c: cube_cell_mask(c, f.n) for c in current}
-    wp = lambda cube: weight(cube) ** params.p  # noqa: E731
+    def fits(j: int, rest: int, rest_cells: int) -> bool:
+        return masks[j] & rest == 0 and rest_cells + sizes[j] <= cell_budget
 
-    def union_mask(excluding: LatticeCube | None = None) -> int:
-        u = 0
-        for c in current:
-            if c is not excluding and c != excluding:
-                u |= masks[c]
-        return u
+    def gain(i: int, j: int) -> float:
+        return weight(cands[j]) - weight(cands[i])
 
-    def total_volume(excluding: LatticeCube | None = None) -> float:
-        return math.fsum(vol(c) for c in current if c != excluding)
-
-    def volume_ok(added: LatticeCube, excluding: LatticeCube | None = None) -> bool:
-        if volume_cap is None:
-            return True
-        return total_volume(excluding) + vol(added) <= volume_cap + 1e-12
-
-    def find_move() -> tuple[list[LatticeCube], float] | None:
-        """First strictly-improving move, or None. Returns (new packing, gain)."""
-        # grow: bump one cube's side by one
-        for cube in current:
-            grown = None
-            if all(o + cube.side + 1 <= f.n - 1 for o in cube.origin):
-                grown = LatticeCube(cube.origin, cube.side + 1)
-            if grown is None or not fits_mesh(grown) or not volume_ok(grown, excluding=cube):
-                continue
-            if cube_cell_mask(grown, f.n) & union_mask(excluding=cube) == 0:
-                gain = wp(grown) - wp(cube)
-                if gain > 0.0:
-                    return [c for c in current if c != cube] + [grown], gain
-        # add: insert a disjoint candidate
-        used = union_mask()
-        for cand in candidates:
-            if cube_cell_mask(cand, f.n) & used == 0 and volume_ok(cand):
-                gain = wp(cand)
-                if gain > 0.0:
-                    return current + [cand], gain
-        # replace: swap one packing cube for one candidate
-        for cube in current:
-            rest = union_mask(excluding=cube)
-            for cand in candidates:
-                if cand == cube:
-                    continue
-                if cube_cell_mask(cand, f.n) & rest == 0 and volume_ok(cand, excluding=cube):
-                    gain = wp(cand) - wp(cube)
-                    if gain > 0.0:
-                        return [c for c in current if c != cube] + [cand], gain
-        # shrink: drop one cube's side by one
-        for cube in current:
-            if cube.side > 1:
-                small = LatticeCube(cube.origin, cube.side - 1)
-                gain = wp(small) - wp(cube)
-                if gain > 0.0:
-                    return [c for c in current if c != cube] + [small], gain
-        # remove: only improving if a weight were negative, kept for completeness
-        for cube in current:
-            if -wp(cube) > 0.0:
-                return [c for c in current if c != cube], -wp(cube)
+    def find_move() -> tuple[int | None, int] | None:
+        """First strictly-improving move (dropped index or None, added index)."""
+        for i in current:  # grow: bump one cube's side by one
+            j = i + 1
+            if (j < len(cands) and cands[j].origin == cands[i].origin
+                    and fits(j, used ^ masks[i], cells - sizes[i]) and gain(i, j) > 0.0):
+                return i, j
+        for j in range(len(cands)):  # add: insert a disjoint candidate
+            if fits(j, used, cells) and weight(cands[j]) > 0.0:
+                return None, j
+        for i in current:  # replace: swap one packing cube for one candidate
+            rest, rest_cells = used ^ masks[i], cells - sizes[i]
+            for j in range(len(cands)):
+                if j != i and fits(j, rest, rest_cells) and gain(i, j) > 0.0:
+                    return i, j
+        for i in current:  # shrink: drop one cube's side by one
+            if cands[i].side > 1 and gain(i, i - 1) > 0.0:
+                return i, i - 1
         return None
 
-    steps = 0
-    while steps < budget:
+    for _ in range(budget):
         move = find_move()
         if move is None:
             break
-        current = sorted(move[0])
-        masks = {c: cube_cell_mask(c, f.n) for c in current}
-        steps += 1
+        i, j = move
+        if i is not None:
+            current.remove(i)
+            used ^= masks[i]
+            cells -= sizes[i]
+        current = sorted(current + [j])
+        used |= masks[j]
+        cells += sizes[j]
 
-    packing = Packing(tuple(current))
+    packing = Packing(tuple(cands[i] for i in current))
     return VariationResult(
-        value=packing_objective(f, packing, params),
+        value=math.fsum(weight(c) for c in packing) ** (1.0 / params.p),
         optimizer=packing,
         method="local_search",
         is_exact=False,
@@ -390,9 +384,9 @@ def restricted_variation(f: GridFunction, params: VariationParams, mesh_cap: flo
     """
     if mesh_cap <= 0:
         raise GridvarError(f"mesh_cap must be > 0, got {mesh_cap}")
+    max_side = _max_side(f, mesh_cap)
     return variation_bruteforce(
-        f, params, allow_large=allow_large,
-        _cube_filter=lambda c: c.volume(f.n) <= mesh_cap + 1e-12,
+        f, params, allow_large=allow_large, _cube_filter=lambda c: c.side <= max_side,
     ).value
 
 
@@ -405,7 +399,7 @@ def ac_modulus(f: GridFunction, params: VariationParams, volume_cap: float,
     if volume_cap <= 0:
         raise GridvarError(f"volume_cap must be > 0, got {volume_cap}")
     check_enumeration_guard(f, allow_large)
-    budget = int(math.floor(volume_cap * cell_count(f) + 1e-9))  # cap in unit cells
+    budget = _cell_budget(f, volume_cap)
     if budget <= 0:
         return 0.0
     total, _ = _exact_packing(f, params, enumerate_cubes(f, 1), None, budget)

@@ -19,9 +19,7 @@ from gridvar import (
     vitali_variation,
     wiener_variation,
 )
-from gridvar.grid import intervals_disjoint
-
-from oracles import all_boxes, corner_sum, vitali_oracle
+from oracles import all_boxes, boxes_overlap, corner_sum, vitali_oracle
 
 
 def coordinate_product(n):
@@ -33,6 +31,16 @@ def coordinate_product(n):
 def coordinate_sum(n):
     x = np.linspace(0.0, 1.0, n)
     return GridFunction(x[:, None] + x[None, :])
+
+
+def assert_disjoint_and_resums(f, res):
+    """The reported family is interior-disjoint and re-sums to the value."""
+    boxes = res.optimizer
+    for i, a in enumerate(boxes):
+        for b in boxes[i + 1:]:
+            assert not boxes_overlap(a, b)
+    recomputed = math.fsum(abs(vitali_deviation(f, b)) for b in boxes)
+    assert recomputed == pytest.approx(res.value, abs=1e-12)
 
 
 def test_deviation_matches_corner_oracle():
@@ -75,13 +83,7 @@ def test_brute_matches_exhaustive_oracle():
             res = vitali_variation(f, method="brute")
             assert res.value == pytest.approx(vitali_oracle(f), abs=1e-12)
             assert res.is_exact and res.method == "brute"
-            # reported family is disjoint and re-sums to the value
-            boxes = res.optimizer
-            for i, a in enumerate(boxes):
-                for b in boxes[i + 1:]:
-                    assert intervals_disjoint(a, b)
-            recomputed = math.fsum(abs(vitali_deviation(f, b)) for b in boxes)
-            assert recomputed == pytest.approx(res.value, abs=1e-12)
+            assert_disjoint_and_resums(f, res)
 
 
 def test_partitions_matches_brute():
@@ -102,6 +104,7 @@ def test_local_search_is_lower_bound():
         brute = vitali_variation(f, method="brute")
         local = vitali_variation(f, method="local_search")
         assert local.value <= brute.value + 1e-12
+        assert_disjoint_and_resums(f, local)
         assert not local.is_exact and local.method == "local_search"
     empty = vitali_variation(f, method="local_search", budget=0)
     assert empty.value == 0.0 and empty.optimizer == ()

@@ -105,6 +105,21 @@ def test_disjointness_is_half_open():
     assert not is_packing([a, c])
 
 
+def test_is_packing_matches_pairwise_overlap_oracle():
+    rng = np.random.default_rng(13)
+    for trial in range(2000):
+        cubes = []
+        for _ in range(int(rng.integers(0, 8))):
+            # every fourth list mixes dimensions; a mixed pair is never a packing
+            d = int(rng.integers(1, 4)) if trial % 4 == 0 else 2
+            origin = tuple(int(o) for o in rng.integers(0, 6, size=d))
+            cubes.append(LatticeCube(origin, int(rng.integers(1, 4))))
+        want = len({c.d for c in cubes}) <= 1 and not any(
+            overlap(a, b) for i, a in enumerate(cubes) for b in cubes[i + 1:]
+        )
+        assert is_packing(cubes) == want, cubes
+
+
 def test_packing_sorts_and_validates():
     a, b = LatticeCube((2,), 1), LatticeCube((0,), 1)
     packing = Packing((a, b))

@@ -142,15 +142,61 @@ def test_dyadic_below_bruteforce():
 
 def test_local_search_deterministic_and_below_brute():
     rng = np.random.default_rng(4)
-    for seed in range(4):
-        f = GridFunction(rng.uniform(-1, 1, size=(4, 4)))
-        params = VariationParams(k=1, p=2.0)
+    cases = [(rng.uniform(-1, 1, size=(4, 4)), VariationParams(k=1, p=2.0)) for _ in range(4)]
+    # integer values: e_3 of some unit cells is 0 up to LP round-off
+    cases.append((np.round(np.random.default_rng(2040).uniform(-2, 2, size=(4, 4))),
+                  VariationParams(k=3, p=3.5)))
+    for vals, params in cases:
+        f = GridFunction(vals)
         a = variation_local_search(f, params, budget=50)
         b = variation_local_search(f, params, budget=50)
         assert a.value == b.value and tuple(a.optimizer) == tuple(b.optimizer)
         br = variation_bruteforce(f, params)
         assert a.value <= br.value + 1e-12
         assert not a.is_exact and a.method == "local_search"
+
+
+UNIT_CELLS_D2N5 = tuple(((i, j), 1) for i in range(4) for j in range(4))
+
+# (d, n, grid seed, integer grid, k, p, weight, dyadic seed, mesh_cap, volume_cap,
+#  budget, value, optimizer as (origin, side) pairs)
+LOCAL_SEARCH_PINS = [
+    (1, 9, 50, False, 1, 1.0, "e_k", False, None, None, 100,
+     3.9245689391420973, (((0,), 4), ((4,), 2), ((6,), 1), ((7,), 1))),
+    (1, 9, 64, True, 2, 2.0, "osc_k", True, 0.25, None, 100,
+     7.681145747868608, (((1,), 2), ((4,), 2), ((6,), 2))),
+    (2, 4, 52, True, 1, 2.0, "e_k", False, None, 0.5, 100,
+     2.0, (((0, 1), 2),)),
+    (2, 5, 55, True, 1, 3.5, "osc_k", False, 0.3, 0.7, 100,
+     7.076680792966236, (((0, 0), 2), ((0, 2), 1), ((1, 2), 1), ((2, 0), 1), ((2, 2), 1),
+                         ((2, 3), 1), ((3, 2), 1), ((3, 3), 1))),
+    (2, 5, 54, True, 1, 3.5, "e_k", True, 0.25, None, 100,
+     3.4113205783096783, UNIT_CELLS_D2N5),
+    (2, 5, 55, False, 2, 2.0, "e_k", True, None, None, 100,
+     3.1984065596995492, (((0, 0), 2), ((0, 2), 1), ((0, 3), 1), ((1, 2), 1), ((1, 3), 1),
+                          ((2, 0), 2), ((2, 2), 2))),
+    (2, 9, 59, False, 2, 3.5, "osc_k", True, None, None, 100,
+     10.947712119619942, (((0, 0), 2), ((0, 2), 2), ((0, 4), 2), ((0, 6), 2), ((2, 0), 2),
+                          ((2, 2), 2), ((2, 4), 2), ((2, 6), 2), ((4, 0), 4), ((4, 4), 4))),
+    (2, 9, 57, True, 1, 1.0, "osc_k", False, None, 0.5, 20,
+     38.0, (((0, 1), 3), ((0, 5), 3), ((1, 0), 1), ((1, 4), 1), ((2, 0), 1), ((2, 4), 1),
+            ((3, 0), 1), ((3, 1), 2), ((3, 3), 1), ((3, 4), 1), ((3, 5), 1), ((3, 6), 1),
+            ((6, 0), 1))),
+]
+
+
+@pytest.mark.parametrize("case", LOCAL_SEARCH_PINS)
+def test_local_search_pinned_optimizers(case):
+    # exact values and cube lists: these pin the scan order and the tie-breaking
+    d, n, grid_seed, integer, k, p, weight, dyadic, mesh_cap, volume_cap, budget, value, cubes = case
+    vals = np.random.default_rng(grid_seed).uniform(-2, 2, size=(n,) * d)
+    f = GridFunction(np.round(vals) if integer else vals)
+    params = VariationParams(k=k, p=p, weight=weight)
+    seed = variation_dyadic(f, params, mesh_cap=mesh_cap).optimizer if dyadic else None
+    res = variation_local_search(f, params, seed=seed, budget=budget,
+                                 mesh_cap=mesh_cap, volume_cap=volume_cap)
+    assert res.value == value
+    assert tuple(res.optimizer) == tuple(LatticeCube(o, s) for o, s in cubes)
 
 
 def test_local_search_budget_zero_keeps_seed():
