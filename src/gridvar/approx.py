@@ -14,6 +14,7 @@ the value.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -26,6 +27,7 @@ from .grid import GridFunction, LatticeCube, check_cube_in_grid
 from .simplex import solve_lp
 
 CERT_TOL = 1e-9
+LP_TOL = 1e-12  # reduced-cost tolerance of the dual LP, whose data are O(1)
 
 
 def poly_multi_indices(d: int, max_degree: int) -> list[tuple[int, ...]]:
@@ -109,50 +111,132 @@ def _basis_matrix(coords: np.ndarray, center: Sequence[float], scale: float,
     return np.column_stack(cols)
 
 
+@functools.lru_cache(maxsize=64)
+def _line_basis(side: int, degree: int) -> tuple[np.ndarray, np.ndarray]:
+    """Discrete orthonormal polynomials q_0..q_degree on the side+1 points
+    z_i = i/side - 1/2, by Arnoldi with reorthogonalization.
+
+    Returns their values (points x polynomials) and their monomial
+    coefficients in z (powers x polynomials).
+    """
+    z = np.arange(side + 1) / side - 0.5
+    q = np.zeros((side + 1, degree + 1))
+    coef = np.zeros((degree + 1, degree + 1))
+    q[:, 0] = coef[0, 0] = 1.0 / math.sqrt(side + 1)
+    for j in range(degree):
+        v = z * q[:, j]
+        c = np.roll(coef[:, j], 1)  # z * q_j; the top power of q_j is below `degree`
+        for _ in range(2):  # Gram-Schmidt twice keeps the columns orthonormal
+            h = q[:, : j + 1].T @ v
+            v -= q[:, : j + 1] @ h
+            c -= coef[:, : j + 1] @ h
+        norm = math.sqrt(float(v @ v))
+        q[:, j + 1] = v / norm
+        coef[:, j + 1] = c / norm
+    return q, coef
+
+
+@dataclass(frozen=True)
+class _CubeBasis:
+    """Everything the minimax LP needs that depends only on (d, side, k)."""
+
+    alphas: list[tuple[int, ...]]  # the Polynomial's monomials, graded order
+    monomials: np.ndarray  # z^alpha at the lattice points, points x monomials
+    q: np.ndarray  # orthonormal basis of the polynomial space, points x rank
+    to_monomials: np.ndarray  # monomial coefficients of q's columns, monomials x rank
+    A: np.ndarray  # dual LP constraints [Q^T, -Q^T, 0; 1, 1, 1]
+
+
+@functools.lru_cache(maxsize=64)
+def _cube_basis(d: int, side: int, k: int) -> _CubeBasis:
+    """Tensor products of 1-d orthonormal polynomials of degree <= min(side, k-1).
+
+    On the (side+1)^d lattice the products with |alpha| <= k-1 and every
+    alpha_i <= side span the polynomials of total degree <= k-1 exactly, so
+    the rank is known without a tolerance.
+    """
+    alphas = poly_multi_indices(d, k - 1)
+    degree = min(side, k - 1)
+    line, line_coef = _line_basis(side, degree)
+    z = np.arange(side + 1) / side - 0.5
+    powers = z[:, None] ** np.arange(k)
+    coef = np.zeros((k, degree + 1))
+    coef[: degree + 1] = line_coef
+    ranked = [a for a in alphas if max(a) <= side]
+
+    def tensor(table: np.ndarray, alpha: tuple[int, ...]) -> np.ndarray:
+        return functools.reduce(np.multiply.outer, [table[:, a] for a in alpha]).ravel()
+
+    monomials = np.column_stack([tensor(powers, a) for a in alphas])
+    q = np.column_stack([tensor(line, a) for a in ranked])
+    # the tensor of coefficient columns is indexed by all powers below k
+    flat = np.ravel_multi_index(np.array(alphas).T, (k,) * d)
+    to_monomials = np.column_stack([tensor(coef, a)[flat] for a in ranked])
+    A = np.zeros((q.shape[1] + 1, 2 * q.shape[0] + 1))
+    A[:-1, : q.shape[0]] = q.T
+    A[:-1, q.shape[0] : -1] = -q.T
+    A[-1] = 1.0
+    for arr in (monomials, q, to_monomials, A):
+        arr.flags.writeable = False
+    return _CubeBasis(alphas, monomials, q, to_monomials, A)
+
+
 def best_minimax_poly(f: GridFunction, cube: LatticeCube, k: int) -> ApproxResult:
     """Best uniform approximation by total degree <= k-1 on the cube's lattice.
 
-    Solved as an LP: minimize t subject to -t <= f(x) - m(x) <= t at every
-    lattice point of the cube. Raises LPError (with the cube and k in the
-    message) if the solver cannot certify optimality.
+    Solved as the dual LP: maximize sum lambda_x g(x) subject to
+    Q^T lambda = 0 and ||lambda||_1 <= 1, where g = f / 2^e (2^e near
+    max|f|, so the scaling is exact) and Q is an orthonormal basis of the
+    polynomial space on the lattice. The minimizer comes from the simplex
+    multipliers. The value is certified from both sides: the minimizer's
+    error U = max|f - m| and the lower bound L = |sum lambda' f| / ||lambda'||_1
+    of the annihilating part lambda' of lambda must agree, and bracket the
+    value, to CERT_TOL * 2^e. Raises LPError (with the cube and k in the
+    message) otherwise, or if the solver fails.
     """
     if k < 1:
         raise GridvarError(f"approximation order must be >= 1, got {k}")
-    check_cube_in_grid(cube, f)
-    pts = list(cube.lattice_points())
-    coords = np.asarray(pts, dtype=float) / (f.n - 1)
-    fvals = np.array([f.value_at(x) for x in pts])
-    center, scale = cube_frame(cube, f.n)
-    alphas = poly_multi_indices(f.d, k - 1)
-    phi = _basis_matrix(coords, center, scale, alphas)
-    P, M = phi.shape
+    fvals = f.restrict(cube).ravel()
+    basis = _cube_basis(f.d, cube.side, k)
+    npts, rank = basis.q.shape
+    fmax = float(np.max(np.abs(fvals)))
+    scale = math.ldexp(1.0, math.frexp(fmax)[1]) if fmax > 0.0 else 1.0
+    g = fvals / scale
 
-    # variables: [t, u (M), v (M), surplus (2P)]; coefficients are c = u - v
-    nvars = 1 + 2 * M + 2 * P
-    A = np.zeros((2 * P, nvars))
-    b = np.empty(2 * P)
-    A[:P, 0] = 1.0
-    A[:P, 1 : 1 + M] = phi
-    A[:P, 1 + M : 1 + 2 * M] = -phi
-    A[P:, 0] = 1.0
-    A[P:, 1 : 1 + M] = -phi
-    A[P:, 1 + M : 1 + 2 * M] = phi
-    A[np.arange(2 * P), 1 + 2 * M + np.arange(2 * P)] = -1.0
-    b[:P] = fvals
-    b[P:] = -fvals
-    c = np.zeros(nvars)
-    c[0] = 1.0
-    try:
-        sol = solve_lp(c, A, b)
-    except LPError as exc:
-        raise LPError(f"minimax LP failed on cube {cube.origin} side {cube.side}, k={k}: {exc}") from exc
+    def fail(reason: str) -> LPError:
+        return LPError(f"minimax LP failed on cube {cube.origin} side {cube.side}, k={k}: {reason}")
 
-    value = max(float(sol.x[0]), 0.0)  # a max of absolute values: below 0 is round-off
-    coef = sol.x[1 : 1 + M] - sol.x[1 + M : 1 + 2 * M]
-    minimizer = make_polynomial(center, scale, dict(zip(alphas, coef)))
-    err = np.abs(fvals - phi @ coef)
+    if npts == rank:  # the polynomials interpolate: the error is exactly 0
+        value, lam, y = 0.0, np.zeros(npts), -(basis.q.T @ g)
+    else:
+        c = np.concatenate([-g, g, [0.0]])
+        b = np.zeros(rank + 1)
+        b[-1] = 1.0
+        try:
+            sol = solve_lp(c, basis.A, b, tol=LP_TOL)
+        except LPError as exc:
+            raise fail(str(exc)) from exc
+        value = max(-sol.objective, 0.0) * scale  # a max of absolute values: below 0 is round-off
+        lam = sol.x[:npts] - sol.x[npts:-1]
+        y = sol.multipliers[:-1]
+    coef = -(basis.to_monomials @ y) * scale
+    err = np.abs(fvals - basis.monomials @ coef)
+    upper = float(np.max(err))
+    lam = lam - basis.q @ (basis.q.T @ lam)
+    mass = float(np.sum(np.abs(lam)))
+    lower = abs(float(lam @ fvals)) / mass if mass > 0.0 else 0.0
+    tol = CERT_TOL * scale
+    if not (upper - lower <= tol and lower - tol <= value <= upper + tol):
+        raise fail(f"certificate gap: lower {lower:.17g}, value {value:.17g}, upper {upper:.17g}")
+
+    center, cube_scale = cube_frame(cube, f.n)
+    minimizer = make_polynomial(center, cube_scale, dict(zip(basis.alphas, coef)))
     cert_cut = value - CERT_TOL * (1.0 + abs(value))
-    certificate = tuple(pt for pt, e in zip(pts, err) if e >= cert_cut)
+    hits = np.flatnonzero(err >= cert_cut)
+    shape = (cube.side + 1,) * f.d
+    certificate = tuple(
+        tuple(o + int(i) for o, i in zip(cube.origin, np.unravel_index(h, shape))) for h in hits
+    )
     return ApproxResult(value=value, minimizer=minimizer, certificate=certificate)
 
 

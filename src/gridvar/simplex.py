@@ -1,9 +1,18 @@
-"""Dense two-phase simplex solver with Bland's rule.
+"""Dense two-phase simplex solver with Dantzig pricing and a Bland fallback.
 
-Solves min c.x subject to A x = b, x >= 0 on a dense numpy tableau. Bland's
-pivoting rule (smallest eligible index enters, smallest basic index breaks
-ratio ties) guarantees termination. Optimality is certified by dual
-feasibility: the solver only stops when every reduced cost is >= -tol.
+Solves min c.x subject to A x = b, x >= 0 on a dense numpy tableau. The
+entering column has the most negative reduced cost (Dantzig's rule); the
+leaving row has the minimum ratio, ties going to the largest pivot. After
+DEGENERATE_RUN consecutive degenerate pivots the solver prices by Bland's
+rule (smallest eligible index enters, smallest basic index breaks ratio
+ties) until a pivot makes progress again: Bland's rule cannot cycle, and a
+nondegenerate pivot lowers the objective, so the solver terminates.
+Optimality is certified by dual feasibility: the solver only stops when
+every reduced cost is >= -tol.
+
+The artificial columns of phase 1 stay in the tableau through phase 2, where
+they may not enter. Their reduced costs are -y, so the simplex multipliers
+(B^T y = c_B) are read off the tableau without another solve.
 """
 
 from __future__ import annotations
@@ -15,6 +24,7 @@ import numpy as np
 from .errors import LPError
 
 PIVOT_TOL = 1e-11
+DEGENERATE_RUN = 50  # consecutive degenerate pivots before Bland's rule prices
 
 
 @dataclass(frozen=True)
@@ -23,6 +33,7 @@ class LPSolution:
     objective: float
     reduced_costs: np.ndarray
     iterations: int
+    multipliers: np.ndarray  # y with B^T y = c_B; 0 on dropped redundant rows
 
 
 def _pivot(tableau: np.ndarray, rhs: np.ndarray, zrow: np.ndarray, basis: np.ndarray,
@@ -47,26 +58,32 @@ def _run_simplex(tableau: np.ndarray, rhs: np.ndarray, zrow: np.ndarray, basis: 
                  allowed: int, tol: float, max_iter: int) -> int:
     """Pivot until all reduced costs over columns [0, allowed) are >= -tol."""
     iters = 0
+    degenerate = 0  # length of the current run of degenerate pivots
     while True:
-        entering = -1
-        for j in range(allowed):  # Bland: smallest improving index
-            if zrow[j] < -tol:
-                entering = j
-                break
-        if entering < 0:
-            return iters
+        costs = zrow[:allowed]
+        bland = degenerate >= DEGENERATE_RUN
+        if bland:
+            improving = np.flatnonzero(costs < -tol)
+            if not improving.size:
+                return iters
+            entering = int(improving[0])
+        else:
+            entering = int(np.argmin(costs))
+            if costs[entering] >= -tol:
+                return iters
         col = tableau[:, entering]
-        ratios = np.full(len(rhs), np.inf)
         positive = col > PIVOT_TOL
-        ratios[positive] = rhs[positive] / col[positive]
-        best = np.min(ratios)
-        if not np.isfinite(best):
+        if not positive.any():
             raise LPError("LP is unbounded")
-        # Bland tie-break: among minimal ratios, leave the smallest basic
-        # index. The threshold must sit above `best` even when roundoff has
-        # pushed a basic value (hence `best`) slightly negative.
-        candidates = np.where(ratios <= best + 1e-12 * (1.0 + abs(best)))[0]
-        row = min(candidates, key=lambda r: basis[r])
+        ratios = np.full(len(rhs), np.inf)
+        ratios[positive] = rhs[positive] / col[positive]
+        best = ratios.min()
+        # Among minimal ratios: Bland leaves the smallest basic index, Dantzig
+        # the largest pivot. The threshold must sit above `best` even when
+        # roundoff has pushed a basic value (hence `best`) slightly negative.
+        ties = np.flatnonzero(ratios <= best + 1e-12 * (1.0 + abs(best)))
+        row = int(ties[np.argmin(basis[ties])] if bland else ties[np.argmax(col[ties])])
+        degenerate = degenerate + 1 if best <= 1e-12 else 0
         _pivot(tableau, rhs, zrow, basis, row, entering)
         iters += 1
         if iters > max_iter:
@@ -111,18 +128,20 @@ def solve_lp(c: np.ndarray, A: np.ndarray, b: np.ndarray, *,
                 iters += 1
             else:
                 keep[r] = False
-    tableau = tableau[keep][:, :nvars]
+    tableau = tableau[keep]
     rhs = rhs[keep]
     basis = basis[keep]
 
-    # Phase 2: the real objective, restricted to original columns.
-    zrow = c.copy()
-    for r, bj in enumerate(basis):
-        zrow -= c[bj] * tableau[r]
+    # Phase 2: the real objective; artificials cost 0 and may not enter.
+    cost = np.concatenate([c, np.zeros(m)])
+    zrow = cost - cost[basis] @ tableau
     iters += _run_simplex(tableau, rhs, zrow, basis, nvars, tol, max_iter)
 
-    if np.min(zrow) < -tol:
+    if np.min(zrow[:nvars]) < -tol:
         raise LPError("optimality certificate failed: negative reduced cost")
     x = np.zeros(nvars)
     x[basis] = rhs
-    return LPSolution(x=x, objective=float(c @ x), reduced_costs=zrow, iterations=iters)
+    y = -zrow[nvars:]
+    y[flip] *= -1.0
+    return LPSolution(x=x, objective=float(c @ x), reduced_costs=zrow[:nvars],
+                      iterations=iters, multipliers=y)
