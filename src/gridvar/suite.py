@@ -308,9 +308,12 @@ def _run_approx_homogeneity(cfg: SuiteConfig) -> Iterator[CellResult]:
             cube = f.whole_cube()
             for k in (1, 2):
                 base = e_k(f, cube, k)
-                for lam in (-3.0, 0.25):
+                for lam in (-3.0, 0.25, 1e-12, 1e12, 2.0**-40):
                     scaled = e_k(GridFunction(lam * f.values), cube, k)
-                    tol = 1e-10 * (1.0 + abs(lam) * base)
+                    # relative at the extreme scales: an absolute 1e-10 would
+                    # pass e_k(1e-12 f) = 0
+                    tol = (1e-10 * (1.0 + abs(lam) * base) if lam in (-3.0, 0.25)
+                           else 1e-10 * abs(lam) * (1.0 + base))
                     checks.append((abs(scaled - abs(lam) * base) - tol,
                                    f"e_k homogeneity d={d} k={k} lam={lam}"))
         yield _cell("approx.homogeneity", "uniform", seed, checks)

@@ -189,3 +189,24 @@ def lp_reference(c, A, b):
         if val < best - 1e-12:
             best, best_x = val, x
     return best, best_x
+
+
+def alternation_bracket(err, k: int) -> tuple[float, float]:
+    """de la Vallee Poussin bracket [L, U] on the best 1-d error of degree < k.
+
+    `err` holds f - p at ordered points for some polynomial p of degree
+    <= k-1. U = max |err|. L is the largest t such that k+1 ordered points
+    carry errors of alternating sign, each of size >= t: every polynomial of
+    degree <= k-1 then errs by at least t on them, so L <= E_k(f) <= U.
+    """
+    err = [float(e) for e in err]
+    upper = max(abs(e) for e in err)
+    lower = 0.0
+    for level in sorted({abs(e) for e in err if e != 0.0}):
+        count, last = 0, 0.0
+        for e in err:  # the greedy count is the longest alternating run
+            if abs(e) >= level and math.copysign(1.0, e) != last:
+                count, last = count + 1, math.copysign(1.0, e)
+        if count >= k + 1:
+            lower = level
+    return lower, upper

@@ -1,3 +1,6 @@
+import itertools
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,10 +15,10 @@ from gridvar.approx import (
     poly_multi_indices,
     poly_space_dim,
 )
-from gridvar.errors import GridvarError, GuardError
+from gridvar.errors import GridvarError, GuardError, LPError
 from gridvar.grid import GridFunction, LatticeCube, make_grid_function
 
-from oracles import all_cubes
+from oracles import all_cubes, alternation_bracket
 
 
 def test_poly_multi_indices_graded():
@@ -101,6 +104,9 @@ def test_homogeneity(seed, lam):
     base = e_k(f, cube, 2)
     scaled = e_k(GridFunction(lam * f.values), cube, 2)
     assert scaled == pytest.approx(abs(lam) * base, abs=1e-9 * (1 + abs(lam) * base))
+    for big_or_small in (1e-12, 1e12, 2.0**-40):
+        scaled = e_k(GridFunction(big_or_small * f.values), cube, 2)
+        assert abs(scaled - big_or_small * base) <= 1e-10 * big_or_small * (1 + base)
 
 
 def test_cube_monotone():
@@ -151,3 +157,104 @@ def test_validation():
         best_minimax_poly(f, f.whole_cube(), 0)
     with pytest.raises(GridvarError):
         e_k(f, LatticeCube((0, 0), 1), 1)  # cube dimension mismatch
+
+
+# d=1, n=33 grids of three families at seed 0; on these the primal LP in
+# monomials raised "unbounded", returned values off the optimum on both
+# sides, or lost a 1e-12 scale to absolute tolerances
+def _family_grids_d1n33() -> dict[str, np.ndarray]:
+    n = 33
+    x = np.arange(n) / (n - 1)
+    rng = np.random.default_rng(0)
+    poly9 = sum(rng.standard_normal() * x**j for j in range(10))
+    rng = np.random.default_rng(0)
+    phases = rng.uniform(0.0, 2.0 * math.pi, size=8)
+    lacunary = sum(2.0**-j * np.cos(2.0**j * math.pi * np.linspace(0.0, 1.0, n) + phases[j])
+                   for j in range(8))
+    uniform = np.random.default_rng(0).uniform(-1.0, 1.0, size=n)
+    return {"polynomial9": poly9, "lacunary": lacunary, "uniform": uniform}
+
+
+@pytest.mark.parametrize("family", ["polynomial9", "lacunary", "uniform"])
+def test_high_degree_bracketed_by_alternation(family):
+    vals = _family_grids_d1n33()[family]
+    f = GridFunction(vals)
+    tol = 1e-9 * float(np.max(np.abs(vals)))
+    for k in range(2, 21):
+        res = best_minimax_poly(f, f.whole_cube(), k)
+        err = vals - res.minimizer.evaluate(np.arange(f.n) / (f.n - 1))
+        low, high = alternation_bracket(err, k)
+        assert high - low <= tol, (k, low, high)
+        assert low - tol <= res.value <= high + tol, (k, low, res.value, high)
+
+
+@pytest.mark.parametrize("family", ["polynomial9", "lacunary", "uniform"])
+def test_extreme_scales(family):
+    vals = _family_grids_d1n33()[family]
+    cube = LatticeCube((0,), 32)
+    # an error at round-off level (a degree-9 polynomial from k = 10 on) has
+    # no relative accuracy, hence the 1e-15 * max|f| floor
+    floor = 1e-15 * float(np.max(np.abs(vals)))
+    for k in range(2, 21):
+        base = e_k(GridFunction(vals), cube, k)
+        assert e_k(GridFunction(2.0**-40 * vals), cube, k) == 2.0**-40 * base
+        tiny = e_k(GridFunction(1e-12 * vals), cube, k)
+        assert abs(tiny - 1e-12 * base) <= 1e-12 * (1e-12 * base) + 1e-12 * floor, (k, tiny, base)
+
+
+def _highs_minimax(vals: np.ndarray, k: int) -> float:
+    """min_m max |f - m| by HiGHS, in a tensor Legendre basis on [-1, 1]^d."""
+    linprog = pytest.importorskip("scipy.optimize").linprog
+    legendre = np.polynomial.legendre
+    n, d = vals.shape[0], vals.ndim
+    scale = float(np.max(np.abs(vals)))
+    t = 2.0 * np.indices(vals.shape).reshape(d, -1).T / (n - 1) - 1.0
+    alphas = [a for a in itertools.product(range(k), repeat=d) if sum(a) <= k - 1]
+    phi = np.column_stack([
+        np.prod([legendre.legval(t[:, i], [0] * a + [1]) for i, a in enumerate(alpha)], axis=0)
+        for alpha in alphas
+    ])
+    npts, ncoef = phi.shape
+    ones = np.ones((npts, 1))
+    g = vals.ravel() / scale
+    res = linprog(np.r_[np.zeros(ncoef), 1.0],
+                  A_ub=np.vstack([np.hstack([-phi, -ones]), np.hstack([phi, -ones])]),
+                  b_ub=np.r_[-g, g], bounds=[(None, None)] * ncoef + [(0, None)],
+                  method="highs", options={"primal_feasibility_tolerance": 1e-10,
+                                           "dual_feasibility_tolerance": 1e-10})
+    assert res.status == 0, res.message
+    return float(res.x[-1]) * scale
+
+
+def test_matches_highs_d2n17():
+    vals = np.random.default_rng(41).uniform(-1.0, 1.0, size=(17, 17))
+    f = GridFunction(vals)
+    for k in (2, 3, 4):
+        want = _highs_minimax(vals, k)
+        assert best_minimax_poly(f, f.whole_cube(), k).value == pytest.approx(want, abs=1e-8)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_d2n9_k7_returns_the_optimum_or_raises(seed):
+    vals = np.random.default_rng(seed).uniform(-1.0, 1.0, size=(9, 9))
+    f = GridFunction(vals)
+    want = _highs_minimax(vals, 7)
+    try:
+        got = best_minimax_poly(f, f.whole_cube(), 7).value
+    except LPError:
+        return
+    assert got == pytest.approx(want, abs=1e-7)
+
+
+def test_interpolating_cubes_give_exact_zeros():
+    # these zeros decide ties in the exact packing optimizers
+    rng = np.random.default_rng(31)
+    f2 = GridFunction(rng.uniform(-1.0, 1.0, size=(5, 5)))
+    for cube in all_cubes(2, 5):
+        if cube.side == 1:
+            assert e_k(f2, cube, 3) == 0.0
+    f1 = GridFunction(rng.uniform(-1.0, 1.0, size=9))
+    for k in range(2, 9):
+        for cube in all_cubes(1, 9, min_side=k - 1):
+            if cube.side == k - 1:
+                assert e_k(f1, cube, k) == 0.0

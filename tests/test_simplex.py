@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from gridvar import simplex
 from gridvar.errors import LPError
 from gridvar.simplex import solve_lp
 
@@ -63,6 +64,9 @@ def test_random_bounded_lps_match_vertex_enumeration():
         assert np.min(sol.reduced_costs) >= -1e-9
         assert np.min(sol.x) >= -1e-9
         assert np.max(np.abs(A @ sol.x - b)) < 1e-8
+        # the multipliers solve the dual: strong duality and reduced costs
+        assert b @ sol.multipliers == pytest.approx(c @ sol.x, abs=1e-9)
+        assert np.max(np.abs(sol.reduced_costs - (c - A.T @ sol.multipliers))) < 1e-9
         solved += 1
     assert solved == 60
 
@@ -79,3 +83,36 @@ def test_degenerate_ties_terminate():
     sol = solve_lp(c, A, b)
     ref, _ = lp_reference(c, A, b)
     assert sol.objective == pytest.approx(ref, abs=1e-10)
+
+
+# Beale (1955): min -3/4 x4 + 20 x5 - 1/2 x6 + 6 x7 over the slack basis
+# {x1, x2, x3}. Dantzig's rule with lowest-index ratio ties cycles from that
+# basis; the optimum is -5/4 at x4 = x6 = 1.
+BEALE_A = np.array([
+    [1.0, 0.0, 0.0, 0.25, -8.0, -1.0, 9.0],
+    [0.0, 1.0, 0.0, 0.5, -12.0, -0.5, 3.0],
+    [0.0, 0.0, 1.0, 0.0, 0.0, 1.0, 0.0],
+])
+BEALE_B = np.array([0.0, 0.0, 1.0])
+BEALE_C = np.array([0.0, 0.0, 0.0, -0.75, 20.0, -0.5, 6.0])
+
+
+def test_beale_cycling_lp():
+    sol = solve_lp(BEALE_C, BEALE_A, BEALE_B)
+    assert sol.objective == -1.25
+    assert BEALE_B @ sol.multipliers == pytest.approx(-1.25, abs=1e-12)
+
+
+def _beale_from_slack_basis() -> tuple[float, int]:
+    tableau, rhs, zrow = BEALE_A.copy(), BEALE_B.copy(), BEALE_C.copy()
+    basis = np.arange(3)
+    iters = simplex._run_simplex(tableau, rhs, zrow, basis, 7, 1e-9, 1000)
+    return float(BEALE_C[basis] @ rhs), iters
+
+
+def test_beale_from_slack_basis_bland_fallback(monkeypatch):
+    assert _beale_from_slack_basis() == (-1.25, 2)
+    # a run of zero degenerate pivots hands every pivot to Bland's rule,
+    # whose path through the degenerate vertex is longer
+    monkeypatch.setattr(simplex, "DEGENERATE_RUN", 0)
+    assert _beale_from_slack_basis() == (-1.25, 6)
