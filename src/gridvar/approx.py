@@ -5,11 +5,15 @@ The degree-(k-1) minimax error
     e_k(f; Q) = min over polynomials m of total degree <= k-1 of
                 max over lattice points x in Q of |f(x) - m(x)|
 
-is computed by linear programming in a basis of monomials in the locally
-rescaled variable (x - center(Q)) / side(Q). Optimality is certified by the
-solver's dual feasibility (reduced costs >= -1e-9). For k = 1 the value has
-a closed form, (max - min)/2, used as a fast path by callers that only need
-the value.
+is computed by the dual linear program over an orthonormal basis of the
+polynomials on the cube's lattice: tensor products of 1-d discrete
+orthonormal polynomials, shared by every cube of one side. The minimizer is
+recovered from the simplex multipliers and returned in monomials of the
+locally rescaled variable (x - center(Q)) / side(Q). Each value is certified
+from both sides (the minimizer's error above, an annihilating weight vector
+below) or LPError is raised. Cubes on which the polynomials interpolate get
+exactly 0 without an LP. For k = 1 the value has a closed form,
+(max - min)/2, used as a fast path by callers that only need the value.
 """
 
 from __future__ import annotations
@@ -140,7 +144,7 @@ def _line_basis(side: int, degree: int) -> tuple[np.ndarray, np.ndarray]:
 class _CubeBasis:
     """Everything the minimax LP needs that depends only on (d, side, k)."""
 
-    alphas: list[tuple[int, ...]]  # the Polynomial's monomials, graded order
+    alphas: tuple[tuple[int, ...], ...]  # the Polynomial's monomials, graded order
     monomials: np.ndarray  # z^alpha at the lattice points, points x monomials
     q: np.ndarray  # orthonormal basis of the polynomial space, points x rank
     to_monomials: np.ndarray  # monomial coefficients of q's columns, monomials x rank
@@ -162,23 +166,23 @@ def _cube_basis(d: int, side: int, k: int) -> _CubeBasis:
     powers = z[:, None] ** np.arange(k)
     coef = np.zeros((k, degree + 1))
     coef[: degree + 1] = line_coef
-    ranked = [a for a in alphas if max(a) <= side]
+    spanning = [a for a in alphas if max(a) <= side]
 
     def tensor(table: np.ndarray, alpha: tuple[int, ...]) -> np.ndarray:
         return functools.reduce(np.multiply.outer, [table[:, a] for a in alpha]).ravel()
 
     monomials = np.column_stack([tensor(powers, a) for a in alphas])
-    q = np.column_stack([tensor(line, a) for a in ranked])
+    q = np.column_stack([tensor(line, a) for a in spanning])
     # the tensor of coefficient columns is indexed by all powers below k
     flat = np.ravel_multi_index(np.array(alphas).T, (k,) * d)
-    to_monomials = np.column_stack([tensor(coef, a)[flat] for a in ranked])
+    to_monomials = np.column_stack([tensor(coef, a)[flat] for a in spanning])
     A = np.zeros((q.shape[1] + 1, 2 * q.shape[0] + 1))
     A[:-1, : q.shape[0]] = q.T
     A[:-1, q.shape[0] : -1] = -q.T
     A[-1] = 1.0
     for arr in (monomials, q, to_monomials, A):
         arr.flags.writeable = False
-    return _CubeBasis(alphas, monomials, q, to_monomials, A)
+    return _CubeBasis(tuple(alphas), monomials, q, to_monomials, A)
 
 
 def best_minimax_poly(f: GridFunction, cube: LatticeCube, k: int) -> ApproxResult:

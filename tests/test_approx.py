@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 
@@ -6,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gridvar import approx
 from gridvar.approx import (
     best_minimax_poly,
     cube_frame,
@@ -258,3 +260,21 @@ def test_interpolating_cubes_give_exact_zeros():
         for cube in all_cubes(1, 9, min_side=k - 1):
             if cube.side == k - 1:
                 assert e_k(f1, cube, k) == 0.0
+
+
+@pytest.mark.parametrize("field, perturb", [
+    ("objective", lambda v: v * (1 + 1e-6)),  # a value off the optimum
+    ("multipliers", lambda y: y + 1e-6),  # a minimizer off the optimum
+], ids=["value", "minimizer"])
+def test_uncertified_solution_raises(monkeypatch, field, perturb):
+    solve = approx.solve_lp
+
+    def wrong(c, A, b, **kw):
+        sol = solve(c, A, b, **kw)
+        return dataclasses.replace(sol, **{field: perturb(getattr(sol, field))})
+
+    f = GridFunction(np.random.default_rng(5).uniform(-1.0, 1.0, size=9))
+    assert best_minimax_poly(f, f.whole_cube(), 3).value > 0.0
+    monkeypatch.setattr(approx, "solve_lp", wrong)
+    with pytest.raises(LPError, match="certificate"):
+        best_minimax_poly(f, f.whole_cube(), 3)
