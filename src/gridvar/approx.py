@@ -31,7 +31,7 @@ from .grid import GridFunction, LatticeCube, check_cube_in_grid
 from .simplex import solve_lp
 
 CERT_TOL = 1e-9
-LP_TOL = 1e-12  # reduced-cost tolerance of the dual LP, whose data are O(1)
+_LP_TOL = 1e-12  # reduced-cost tolerance of the dual LP, whose data are O(1)
 
 
 def poly_multi_indices(d: int, max_degree: int) -> list[tuple[int, ...]]:
@@ -217,7 +217,7 @@ def best_minimax_poly(f: GridFunction, cube: LatticeCube, k: int) -> ApproxResul
         b = np.zeros(rank + 1)
         b[-1] = 1.0
         try:
-            sol = solve_lp(c, basis.A, b, tol=LP_TOL)
+            sol = solve_lp(c, basis.A, b, tol=_LP_TOL)
         except LPError as exc:
             raise fail(str(exc)) from exc
         value = max(-sol.objective, 0.0) * scale  # a max of absolute values: below 0 is round-off
@@ -236,11 +236,7 @@ def best_minimax_poly(f: GridFunction, cube: LatticeCube, k: int) -> ApproxResul
     center, cube_scale = cube_frame(cube, f.n)
     minimizer = make_polynomial(center, cube_scale, dict(zip(basis.alphas, coef)))
     cert_cut = value - CERT_TOL * (1.0 + abs(value))
-    hits = np.flatnonzero(err >= cert_cut)
-    shape = (cube.side + 1,) * f.d
-    certificate = tuple(
-        tuple(o + int(i) for o, i in zip(cube.origin, np.unravel_index(h, shape))) for h in hits
-    )
+    certificate = tuple(pt for pt, e in zip(cube.lattice_points(), err) if e >= cert_cut)
     return ApproxResult(value=value, minimizer=minimizer, certificate=certificate)
 
 
