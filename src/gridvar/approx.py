@@ -65,14 +65,6 @@ class Polynomial:
     def d(self) -> int:
         return len(self.center)
 
-    @property
-    def coefficients(self) -> dict[tuple[int, ...], float]:
-        return dict(self.terms)
-
-    @property
-    def degree(self) -> int:
-        return max((sum(a) for a, _ in self.terms), default=0)
-
     def evaluate(self, points: np.ndarray | Sequence) -> np.ndarray:
         """Evaluate at continuous points, shape (m, d) or (m,) when d = 1."""
         pts = np.asarray(points, dtype=float)
@@ -83,10 +75,6 @@ class Polynomial:
         for alpha, coef in self.terms:
             vals += coef * np.prod(z ** np.asarray(alpha), axis=1)
         return vals
-
-    def evaluate_on_grid(self, grid: GridFunction) -> np.ndarray:
-        pts = np.array(list(itertools.product(range(grid.n), repeat=grid.d)), dtype=float)
-        return self.evaluate(pts / (grid.n - 1)).reshape((grid.n,) * grid.d)
 
 
 def make_polynomial(center: Sequence[float], scale: float,
@@ -196,7 +184,8 @@ def best_minimax_poly(f: GridFunction, cube: LatticeCube, k: int) -> ApproxResul
     error U = max|f - m| and the lower bound L = |sum lambda' f| / ||lambda'||_1
     of the annihilating part lambda' of lambda must agree, and bracket the
     value, to CERT_TOL * 2^e. Raises LPError (with the cube and k in the
-    message) otherwise, or if the solver fails.
+    message) otherwise, or if the solver fails. The certificate lists the
+    lattice points whose error is within CERT_TOL * 2^e of the value.
     """
     if k < 1:
         raise GridvarError(f"approximation order must be >= 1, got {k}")
@@ -220,24 +209,24 @@ def best_minimax_poly(f: GridFunction, cube: LatticeCube, k: int) -> ApproxResul
             sol = solve_lp(c, basis.A, b, tol=_LP_TOL)
         except LPError as exc:
             raise fail(str(exc)) from exc
-        value = max(-sol.objective, 0.0) * scale  # a max of absolute values: below 0 is round-off
+        value = max(-sol.objective, 0.0)  # a max of absolute values: below 0 is round-off
         lam = sol.x[:npts] - sol.x[npts:-1]
         y = sol.multipliers[:-1]
-    coef = -(basis.to_monomials @ y) * scale
-    err = np.abs(fvals - basis.monomials @ coef)
+    # certified in units of 2^e, so the check cannot underflow for tiny f
+    coef = -(basis.to_monomials @ y)
+    err = np.abs(g - basis.monomials @ coef)
     upper = float(np.max(err))
     lam = lam - basis.q @ (basis.q.T @ lam)
     mass = float(np.sum(np.abs(lam)))
-    lower = abs(float(lam @ fvals)) / mass if mass > 0.0 else 0.0
-    tol = CERT_TOL * scale
-    if not (upper - lower <= tol and lower - tol <= value <= upper + tol):
-        raise fail(f"certificate gap: lower {lower:.17g}, value {value:.17g}, upper {upper:.17g}")
+    lower = abs(float(lam @ g)) / mass if mass > 0.0 else 0.0
+    if not (upper - lower <= CERT_TOL and lower - CERT_TOL <= value <= upper + CERT_TOL):
+        raise fail(f"certificate gap: lower {lower * scale:.17g}, value {value * scale:.17g}, "
+                   f"upper {upper * scale:.17g}")
 
     center, cube_scale = cube_frame(cube, f.n)
-    minimizer = make_polynomial(center, cube_scale, dict(zip(basis.alphas, coef)))
-    cert_cut = value - CERT_TOL * (1.0 + abs(value))
-    certificate = tuple(pt for pt, e in zip(cube.lattice_points(), err) if e >= cert_cut)
-    return ApproxResult(value=value, minimizer=minimizer, certificate=certificate)
+    minimizer = make_polynomial(center, cube_scale, dict(zip(basis.alphas, coef * scale)))
+    certificate = tuple(pt for pt, e in zip(cube.lattice_points(), err) if e >= value - CERT_TOL)
+    return ApproxResult(value=value * scale, minimizer=minimizer, certificate=certificate)
 
 
 def e_k(f: GridFunction, cube: LatticeCube, k: int) -> float:

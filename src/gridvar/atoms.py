@@ -33,14 +33,13 @@ L1_TOL = 1e-12
 
 
 def _moments(points: Sequence[tuple[int, ...]], weights: Sequence[float],
-             n: int, k: int, frame_points: Sequence[tuple[int, ...]] | None = None) -> np.ndarray:
+             n: int, k: int) -> np.ndarray:
     """Weighted power sums against degree <= k-1 monomials, centered and
     scaled to the point set for conditioning (orthogonality to the
     polynomial space does not depend on the frame)."""
     pts = np.asarray(points, dtype=float) / (n - 1)
-    ref = pts if frame_points is None else np.asarray(frame_points, dtype=float) / (n - 1)
-    center = (ref.min(axis=0) + ref.max(axis=0)) / 2.0
-    scale = max(float(np.max(ref.max(axis=0) - ref.min(axis=0))), 1.0 / (n - 1))
+    center = (pts.min(axis=0) + pts.max(axis=0)) / 2.0
+    scale = max(float(np.max(pts.max(axis=0) - pts.min(axis=0))), 1.0 / (n - 1))
     d = pts.shape[1]
     phi = _basis_matrix(pts, center, scale, poly_multi_indices(d, k - 1))
     return np.asarray(weights, dtype=float) @ phi

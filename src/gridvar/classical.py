@@ -3,9 +3,12 @@
 The Vitali deviation of a d-interval is the alternating sum of f over its
 corners (the fully mixed increment); the Vitali variation maximizes the sum
 of absolute deviations over families of boxes with pairwise disjoint
-interiors. Hardy-Krause adds the Vitali variations of all partial functions
-frozen at an anchor point; Tonelli averages 1-d section variations per axis.
-In one dimension all of these collapse to the Jordan variation.
+interiors. Deviations add when a box is split, so on a lattice the unit
+cells attain that maximum and the variation is one closed-form sum, with no
+search and no size guard. Hardy-Krause adds the Vitali variations of all
+partial functions frozen at an anchor point; Tonelli averages 1-d section
+variations per axis. In one dimension all of these collapse to the Jordan
+variation.
 """
 
 from __future__ import annotations
@@ -17,18 +20,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import GridvarError, GuardError
-from .grid import (
-    GridFunction,
-    LatticeInterval,
-    _box_cell_mask,
-    check_enumeration_guard,
-    check_interval_in_grid,
-    cell_count,
-)
-from .variation import VariationParams, _anchor_items, max_weight_packing, variation_bruteforce
-
-PARTITION_CUT_LIMIT = 16  # max total interior cut positions for the partitions method
+from .errors import GridvarError
+from .grid import GridFunction, LatticeInterval, check_interval_in_grid
+from .variation import VariationParams, variation_bruteforce
 
 
 def as_axis_subset(axes: Sequence[int], d: int) -> tuple[int, ...]:
@@ -61,17 +55,6 @@ def vitali_deviation(f: GridFunction, interval: LatticeInterval) -> float:
     return math.fsum(terms)
 
 
-def enumerate_boxes(grid: GridFunction) -> list[LatticeInterval]:
-    """All fully nondegenerate lattice boxes, in (lower, upper) order."""
-    axis_pairs = list(itertools.combinations(range(grid.n), 2))
-    out = [
-        LatticeInterval(tuple(lo for lo, _ in pairs), tuple(hi for _, hi in pairs))
-        for pairs in itertools.product(axis_pairs, repeat=grid.d)
-    ]
-    out.sort()
-    return out
-
-
 @dataclass(frozen=True)
 class VitaliResult:
     value: float
@@ -80,96 +63,26 @@ class VitaliResult:
     is_exact: bool
 
 
-def _vitali_bruteforce(f: GridFunction, allow_large: bool) -> VitaliResult:
-    check_enumeration_guard(f, allow_large)
-    boxes = enumerate_boxes(f)
-    ncells = cell_count(f)
-    anchored = _anchor_items(ncells, [_box_cell_mask(b.lower, b.upper, f.n, None) for b in boxes],
-                             [abs(vitali_deviation(f, b)) for b in boxes])
-    total, chosen = max_weight_packing(ncells, anchored)
-    return VitaliResult(total, tuple(boxes[i] for i in chosen), "brute", True)
-
-
-def _axis_partitions(n: int) -> list[list[tuple[int, int]]]:
-    """All ways to slice [0, n-1] into consecutive slabs at interior cuts."""
-    out = []
-    for r in range(n - 1):
-        for cuts in itertools.combinations(range(1, n - 1), r):
-            bounds = (0, *cuts, n - 1)
-            out.append([(bounds[i], bounds[i + 1]) for i in range(len(bounds) - 1)])
-    return out
-
-
-def _vitali_partitions(f: GridFunction, allow_large: bool) -> VitaliResult:
-    if f.d * (f.n - 2) > PARTITION_CUT_LIMIT and not allow_large:
-        raise GuardError(
-            f"partition enumeration needs {f.d * (f.n - 2)} cut positions > "
-            f"{PARTITION_CUT_LIMIT}; pass allow_large=True to override"
-        )
-    best = -1.0
-    best_boxes: tuple[LatticeInterval, ...] = ()
-    for per_axis in itertools.product(*[_axis_partitions(f.n)] * f.d):
-        boxes = [
-            LatticeInterval(tuple(lo for lo, _ in slabs), tuple(hi for _, hi in slabs))
-            for slabs in itertools.product(*per_axis)
-        ]
-        value = math.fsum(abs(vitali_deviation(f, box)) for box in boxes)
-        if value > best:
-            best = value
-            best_boxes = tuple(sorted(boxes))
-    return VitaliResult(best, best_boxes, "partitions", True)
-
-
-def _vitali_local_search(f: GridFunction, budget: int) -> VitaliResult:
-    boxes = enumerate_boxes(f)
-    dev = [abs(vitali_deviation(f, box)) for box in boxes]
-    masks = [_box_cell_mask(b.lower, b.upper, f.n, None) for b in boxes]
-    current: list[int] = []
-    used = 0  # the current boxes are disjoint: the others of i cover used ^ masks[i]
-
-    def find_move() -> tuple[int | None, int] | None:
-        """First strictly-improving move (dropped index or None, added index)."""
-        for j, mask in enumerate(masks):
-            if dev[j] > 0.0 and mask & used == 0:
-                return None, j
-        for i in current:
-            rest = used ^ masks[i]
-            for j, mask in enumerate(masks):
-                if j != i and mask & rest == 0 and dev[j] - dev[i] > 0.0:
-                    return i, j
-        return None
-
-    for _ in range(budget):
-        move = find_move()
-        if move is None:
-            break
-        i, j = move
-        if i is not None:
-            current.remove(i)
-            used ^= masks[i]
-        current = sorted(current + [j])
-        used |= masks[j]
-    value = math.fsum(dev[i] for i in current)
-    return VitaliResult(value, tuple(boxes[i] for i in current), "local_search", False)
-
-
-def vitali_variation(f: GridFunction, method: str = "brute", budget: int = 100,
-                     allow_large: bool = False) -> VitaliResult:
+def vitali_variation(f: GridFunction) -> VitaliResult:
     """Max of sum |deviation| over families of interior-disjoint boxes.
 
-    Methods: "brute" (the exact packing dynamic program with boxes as items,
-    visiting only reachable cell covers; guarded at 16 cells), "partitions"
-    (exhaustive axis-aligned grid partitions; exact too, since refining any
-    family to the grid its boxes generate never decreases the sum), and
-    "local_search" (add/replace hill climbing, lower bound).
+    A lattice box splits into the unit cells inside it and its deviation is
+    the sum of theirs, so by the triangle inequality no family beats the
+    unit cells: the value is the sum of |deviation| over all unit cells
+    (Owen, Multidimensional variation for quasi-Monte Carlo, 2005). The
+    deviations are the fully mixed first differences, one np.diff per axis.
+    The optimizer lists the unit cells of nonzero deviation in row-major,
+    that is (lower, upper), order.
     """
-    if method == "brute":
-        return _vitali_bruteforce(f, allow_large)
-    if method == "partitions":
-        return _vitali_partitions(f, allow_large)
-    if method == "local_search":
-        return _vitali_local_search(f, budget)
-    raise GridvarError(f"unknown method {method!r}; use brute, partitions, or local_search")
+    mixed = f.values
+    for axis in range(f.d):
+        mixed = np.diff(mixed, axis=axis)
+    value = math.fsum(np.abs(mixed).ravel().tolist())
+    optimizer = tuple(
+        LatticeInterval(tuple(idx), tuple(i + 1 for i in idx))
+        for idx in np.argwhere(mixed != 0.0).tolist()
+    )
+    return VitaliResult(value, optimizer, "cells", True)
 
 
 def partial_function(f: GridFunction, anchor: Sequence[int], axes: Sequence[int]) -> GridFunction:
@@ -202,7 +115,6 @@ def wiener_variation(f: GridFunction, p: float, allow_large: bool = False) -> fl
 
 
 def hardy_krause_breakdown(f: GridFunction, anchor: Sequence[int] | None = None,
-                           method: str = "brute", allow_large: bool = False,
                            ) -> dict[tuple[int, ...], float]:
     """Vitali variation of each partial function frozen at the anchor.
 
@@ -215,14 +127,13 @@ def hardy_krause_breakdown(f: GridFunction, anchor: Sequence[int] | None = None,
     for size in range(1, f.d + 1):
         for subset in itertools.combinations(range(f.d), size):
             section = partial_function(f, anchor, subset)
-            out[subset] = vitali_variation(section, method=method, allow_large=allow_large).value
+            out[subset] = vitali_variation(section).value
     return out
 
 
-def hardy_krause_variation(f: GridFunction, anchor: Sequence[int] | None = None,
-                           method: str = "brute", allow_large: bool = False) -> float:
+def hardy_krause_variation(f: GridFunction, anchor: Sequence[int] | None = None) -> float:
     """Sum of the Vitali variations of all anchored partial functions."""
-    return math.fsum(hardy_krause_breakdown(f, anchor, method, allow_large).values())
+    return math.fsum(hardy_krause_breakdown(f, anchor).values())
 
 
 def tonelli_variation(f: GridFunction) -> float:
@@ -235,3 +146,8 @@ def tonelli_variation(f: GridFunction) -> float:
         line_variations = np.sum(np.abs(np.diff(f.values, axis=axis)), axis=axis)
         total.append(float(np.mean(line_variations)))
     return math.fsum(total)
+
+
+# Invariants this module promises; the property suite registers them all
+# (its completeness check fails if one is missing there).
+INVARIANT_IDS = ("classical.vitali-dominates-partitions",)

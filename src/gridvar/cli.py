@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 from typing import Sequence
@@ -223,8 +224,7 @@ def cmd_classical(args: argparse.Namespace) -> int:
         payload["p"] = args.p
         payload["value"] = wiener_variation(f, args.p, allow_large=args.allow_large)
     elif notion == "vitali":
-        result = vitali_variation(f, method=args.method, budget=args.budget,
-                                  allow_large=args.allow_large)
+        result = vitali_variation(f)
         payload.update(
             value=result.value, method=result.method, is_exact=result.is_exact,
             optimizer=[{"lower": list(b.lower), "upper": list(b.upper)}
@@ -232,12 +232,12 @@ def cmd_classical(args: argparse.Namespace) -> int:
         )
     elif notion == "hardy_krause":
         anchor = _parse_anchor(args.anchor, f)
-        breakdown = hardy_krause_breakdown(f, anchor, allow_large=args.allow_large)
+        breakdown = hardy_krause_breakdown(f, anchor)
         payload["anchor"] = list(anchor) if anchor is not None else [f.n - 1] * f.d
         payload["components"] = {
             ",".join(str(a) for a in axes): val for axes, val in breakdown.items()
         }
-        payload["value"] = float(sum(breakdown.values()))
+        payload["value"] = math.fsum(breakdown.values())
     elif notion == "tonelli":
         payload["value"] = tonelli_variation(f)
     else:
@@ -447,10 +447,8 @@ def build_parser() -> argparse.ArgumentParser:
     classical.add_argument("--p", type=float, default=1.0, help="exponent for wiener_p")
     classical.add_argument("--anchor", default=None,
                            help="'ones', 'zeros', or lattice indices 'i1,...,id'")
-    classical.add_argument("--method", choices=("brute", "partitions", "local_search"),
-                           default="brute", help="vitali optimizer")
-    classical.add_argument("--budget", type=int, default=100)
-    classical.add_argument("--allow-large", action="store_true")
+    classical.add_argument("--allow-large", action="store_true",
+                           help="lift the enumeration guard of wiener_p")
     _add_common_output(classical)
     classical.set_defaults(handler=cmd_classical)
 

@@ -23,18 +23,6 @@ import numpy as np
 from .errors import GridvarError
 from .grid import GridFunction, LatticeCube, check_cube_in_grid
 
-# Comparisons of oscillations against zero use this tolerance policy:
-# absolute floor plus a relative part scaled by max |f| over the cube.
-ZERO_ABS_TOL = 1e-12
-ZERO_REL_TOL = 1e-10
-
-
-def zero_tolerance(values: np.ndarray | float) -> float:
-    """Tolerance for treating an oscillation or error over `values` as zero."""
-    scale = float(np.max(np.abs(values))) if np.ndim(values) else abs(float(values))
-    return ZERO_ABS_TOL + ZERO_REL_TOL * scale
-
-
 def as_step_vector(h: Sequence[int], d: int, allow_zero: bool = True) -> tuple[int, ...]:
     """Validate an integer step vector: d entries; h = 0 yields the zero
     difference, so it is allowed unless the caller is taking a supremum."""
@@ -131,15 +119,9 @@ def osc_directional(f: GridFunction, cube: LatticeCube | None, k: int, axis: int
     """k-th oscillation restricted to steps along one coordinate axis."""
     if k < 1:
         raise GridvarError(f"oscillation order must be >= 1, got {k}")
-    cube = _resolve_cube(f, cube)
     if not 0 <= axis < f.d:
         raise GridvarError(f"axis {axis} out of range for d={f.d}")
-    sub = f.restrict(cube)
-    best = 0.0
-    for t in range(1, cube.side // k + 1):
-        h = tuple(t if i == axis else 0 for i in range(f.d))
-        best = max(best, _max_abs_kth_diff(sub, h, k))
-    return best
+    return osc_mixed(f, cube, tuple(k if i == axis else 0 for i in range(f.d)))
 
 
 def osc_mixed(f: GridFunction, cube: LatticeCube | None, alpha: Sequence[int]) -> float:

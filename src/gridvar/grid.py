@@ -96,14 +96,6 @@ class LatticeInterval:
     def d(self) -> int:
         return len(self.lower)
 
-    def is_nondegenerate(self) -> bool:
-        return all(hi > lo for lo, hi in zip(self.lower, self.upper))
-
-    def corners(self) -> Iterator[tuple[int, ...]]:
-        return itertools.product(*(
-            (lo, hi) if hi > lo else (lo,) for lo, hi in zip(self.lower, self.upper)
-        ))
-
 
 class GridFunction:
     """Real values sampled on the uniform lattice {0,...,n-1}^d of [0,1]^d."""
@@ -141,10 +133,6 @@ class GridFunction:
         check_cube_in_grid(cube, self)
         sl = tuple(slice(o, o + cube.side + 1) for o in cube.origin)
         return self.values[sl]
-
-    def coordinates(self, points: Iterable[Sequence[int]]) -> np.ndarray:
-        """Map index points to their continuous coordinates in [0,1]^d."""
-        return np.asarray(list(points), dtype=float) / (self.n - 1)
 
     def sup_norm(self) -> float:
         return float(np.max(np.abs(self.values)))
@@ -284,28 +272,22 @@ def check_enumeration_guard(
         )
 
 
-def _box_cell_mask(lower: Sequence[int], upper: Sequence[int], grid_n: int,
-                   region: LatticeInterval | None) -> int:
-    """Bitmask of the unit cells of the half-open box [lower, upper), row-major
-    over the region (the whole grid when None)."""
+def cube_cell_mask(cube: LatticeCube, grid_n: int, region: LatticeInterval | None = None) -> int:
+    """Bitmask of the unit cells covered by the cube, row-major over the region
+    (the whole grid when None)."""
     if region is None:
-        lo = (0,) * len(lower)
-        extents = [grid_n - 1] * len(lower)
+        lo = (0,) * cube.d
+        extents = [grid_n - 1] * cube.d
     else:
         lo = region.lower
         extents = [h - l for l, h in zip(region.lower, region.upper)]
     mask = 0
-    for cell in itertools.product(*(range(a, b) for a, b in zip(lower, upper))):
+    for cell in itertools.product(*(range(o, o + cube.side) for o in cube.origin)):
         idx = 0
         for c, l, m in zip(cell, lo, extents):
             idx = idx * m + (c - l)
         mask |= 1 << idx
     return mask
-
-
-def cube_cell_mask(cube: LatticeCube, grid_n: int, region: LatticeInterval | None = None) -> int:
-    """Bitmask of the unit cells covered by the cube, row-major over the region."""
-    return _box_cell_mask(cube.origin, cube.upper, grid_n, region)
 
 
 def enumerate_packings(

@@ -20,6 +20,7 @@ import numpy as np
 
 from . import approx as _approx_mod
 from . import atoms as _atoms_mod
+from . import classical as _classical_mod
 from . import differences as _diff_mod
 from . import variation as _var_mod
 from .approx import best_minimax_poly, e_k, minimax_reference, poly_space_dim
@@ -30,7 +31,7 @@ from .atoms import (
     u_norm_bounds,
     validate_atom,
 )
-from .classical import vitali_deviation
+from .classical import vitali_deviation, vitali_variation
 from .differences import finite_difference, osc_directional, osc_k, osc_mixed
 from .errors import GridvarError, UnisolventError
 from .families import generate
@@ -595,6 +596,25 @@ def _random_partition(rng: np.random.Generator,
     ]
 
 
+def _run_classical_vitali_partitions(cfg: SuiteConfig) -> Iterator[CellResult]:
+    for seed in _seeds(cfg):
+        checks: list[Check] = []
+        for d, n in ((1, 9), (2, 5), (3, 4)):
+            f = generate("uniform", [seed, d, 103], d=d, n=n)
+            res = vitali_variation(f)
+            tol = 1e-12 * (1.0 + res.value)
+            resum = math.fsum(abs(vitali_deviation(f, b)) for b in res.optimizer)
+            checks.append((abs(resum - res.value) - tol, f"optimizer re-sums d={d}"))
+            rng = _rng(seed, d, 107)
+            whole = LatticeInterval((0,) * d, (n - 1,) * d)
+            for _ in range(3):
+                parts = _random_partition(rng, whole)
+                total = math.fsum(abs(vitali_deviation(f, c)) for c in parts)
+                checks.append((total - res.value - tol,
+                               f"partition of {len(parts)} boxes <= vitali d={d}"))
+        yield _cell("classical.vitali-dominates-partitions", "uniform", seed, checks)
+
+
 def _run_var_weight_transfer(cfg: SuiteConfig) -> Iterator[CellResult]:
     for seed in _seeds(cfg):
         checks: list[Check] = []
@@ -761,6 +781,7 @@ REGISTRY: dict[str, Callable[[SuiteConfig], Iterator[CellResult]]] = {
     "variation.lipschitz-embedding": _run_var_lipschitz,
     "variation.vitali-telescoping": _run_var_vitali_telescoping,
     "variation.weight-transfer": _run_var_weight_transfer,
+    "classical.vitali-dominates-partitions": _run_classical_vitali_partitions,
     "atoms.orthogonality": _run_atoms_orthogonality,
     "atoms.upper-scaling": _run_atoms_upper_scaling,
     "atoms.upper-triangle": _run_atoms_upper_triangle,
@@ -772,6 +793,7 @@ CATALOG: tuple[str, ...] = (
     + _approx_mod.INVARIANT_IDS
     + _var_mod.INVARIANT_IDS
     + _atoms_mod.INVARIANT_IDS
+    + _classical_mod.INVARIANT_IDS
 )
 
 

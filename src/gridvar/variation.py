@@ -8,12 +8,13 @@ with per-cube weight w either the minimax error e_k or the oscillation
 osc_k. Exact maximization (brute force) runs one dynamic program,
 max_weight_packing, over the covers of unit cells reachable by filling the
 lowest free cell (skip it, or place a cube anchored there); the capped
-variants and the Vitali brute force run on the same engine. It visits far
-fewer states than the 2^cells covers (cells + 1 of them in one dimension),
-but it is still an exhaustive search and keeps the 16-cell guard of packing
-enumeration. Two scalable lower-bound methods are provided: a recursion over
-the dyadic cube tree, and hill-climbing local search over packings. Both are
-certified lower bounds because every packing's objective is one.
+variants run on the same engine, which serves cube packings only. It visits
+far fewer states than the 2^cells covers (cells + 1 of them in one
+dimension), but it is still an exhaustive search and keeps the 16-cell guard
+of packing enumeration. Two scalable lower-bound methods are provided: a
+recursion over the dyadic cube tree, and hill-climbing local search over
+packings. Both are certified lower bounds because every packing's objective
+is one.
 
 Capped variants restrict the packings: a cap on every cube's volume (the
 fine-mesh modulus) or on the total volume of the packing (the absolute
@@ -188,23 +189,16 @@ def max_weight_packing(ncells: int, anchored: list[list[tuple[int, int, float]]]
     return float(table[start]), chosen
 
 
-def _anchor_items(ncells: int, masks: Sequence[int],
-                  weights: Sequence[float]) -> list[list[tuple[int, int, float]]]:
-    """Group items (index, mask, weight) by their lowest cell, in item order."""
-    anchored: list[list[tuple[int, int, float]]] = [[] for _ in range(ncells)]
-    for idx, (mask, w) in enumerate(zip(masks, weights)):
-        anchored[(mask & -mask).bit_length() - 1].append((idx, mask, w))
-    return anchored
-
-
 def _exact_packing(f: GridFunction, params: VariationParams, cubes: Sequence[LatticeCube],
                    region: LatticeInterval | None,
                    budget: int | None = None) -> tuple[float, list[int]]:
     """max_weight_packing over the cubes, with item weights w(f;Q)^p."""
     weight = _weight_fn(f, params)
     ncells = cell_count(f, region)
-    anchored = _anchor_items(ncells, [cube_cell_mask(c, f.n, region) for c in cubes],
-                             [weight(c) for c in cubes])
+    anchored: list[list[tuple[int, int, float]]] = [[] for _ in range(ncells)]
+    for idx, cube in enumerate(cubes):
+        mask = cube_cell_mask(cube, f.n, region)
+        anchored[(mask & -mask).bit_length() - 1].append((idx, mask, weight(cube)))
     return max_weight_packing(ncells, anchored, budget=budget)
 
 

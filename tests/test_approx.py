@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gridvar import approx
@@ -99,6 +99,7 @@ def test_shift_invariance(seed, k):
 
 @settings(max_examples=25, deadline=None)
 @given(st.integers(0, 10**6), st.floats(-4.0, 4.0))
+@example(199, 5e-324)  # subnormal data: the certificate tolerance must not underflow
 def test_homogeneity(seed, lam):
     rng = np.random.default_rng(seed)
     f = GridFunction(rng.uniform(-1, 1, size=5))
@@ -202,6 +203,18 @@ def test_extreme_scales(family):
         assert e_k(GridFunction(2.0**-40 * vals), cube, k) == 2.0**-40 * base
         tiny = e_k(GridFunction(1e-12 * vals), cube, k)
         assert abs(tiny - 1e-12 * base) <= 1e-12 * (1e-12 * base) + 1e-12 * floor, (k, tiny, base)
+
+
+@pytest.mark.parametrize("family", ["polynomial9", "lacunary", "uniform"])
+def test_certificate_is_scale_invariant(family):
+    vals = _family_grids_d1n33()[family]
+    for k in range(2, 9):
+        f = GridFunction(vals)
+        base = best_minimax_poly(f, f.whole_cube(), k).certificate
+        assert len(base) == k + 1, (k, base)
+        for lam in (2.0**-40, 1e-12, 1e12):
+            f = GridFunction(lam * vals)
+            assert best_minimax_poly(f, f.whole_cube(), k).certificate == base, (k, lam)
 
 
 def _highs_minimax(vals: np.ndarray, k: int) -> float:

@@ -1,5 +1,6 @@
 """Vitali / Hardy-Krause / Tonelli / Jordan / Wiener variation tests."""
 
+import itertools
 import math
 
 import numpy as np
@@ -8,7 +9,6 @@ import pytest
 from gridvar import (
     GridFunction,
     GridvarError,
-    GuardError,
     LatticeInterval,
     hardy_krause_breakdown,
     hardy_krause_variation,
@@ -75,46 +75,55 @@ def test_golden_values(n):
     assert vitali_variation(sums).value == pytest.approx(0.0, abs=1e-12)
 
 
+def unit_cells(d, n):
+    """Every unit cell of the lattice, in row-major order."""
+    return [LatticeInterval(idx, tuple(i + 1 for i in idx))
+            for idx in itertools.product(range(n - 1), repeat=d)]
+
+
 def test_brute_matches_exhaustive_oracle():
     rng = np.random.default_rng(11)
-    for d, n in [(2, 3), (1, 4)]:
+    grids = []
+    for d, n in [(2, 3), (1, 4), (3, 3)]:
         for _ in range(3):
-            f = GridFunction(rng.uniform(-1, 1, size=(n,) * d))
-            res = vitali_variation(f, method="brute")
-            assert res.value == pytest.approx(vitali_oracle(f), abs=1e-12)
-            assert res.is_exact and res.method == "brute"
-            assert_disjoint_and_resums(f, res)
-
-
-def test_partitions_matches_brute():
-    rng = np.random.default_rng(19)
-    for d, n in [(2, 3), (1, 5)]:
+            grids.append(GridFunction(rng.uniform(-1, 1, size=(n,) * d)))
+    # integer values: ties between families, and cells of zero deviation
+    for d, n in [(1, 5), (2, 3), (2, 4), (3, 3)]:
         for _ in range(3):
-            f = GridFunction(rng.uniform(-1, 1, size=(n,) * d))
-            brute = vitali_variation(f, method="brute")
-            parts = vitali_variation(f, method="partitions")
-            assert parts.value == pytest.approx(brute.value, abs=1e-12)
-            assert parts.is_exact and parts.method == "partitions"
+            grids.append(GridFunction(rng.integers(-2, 3, size=(n,) * d).astype(float)))
+    for f in grids:
+        res = vitali_variation(f)
+        assert res.value == pytest.approx(vitali_oracle(f), abs=1e-12)
+        assert res.is_exact and res.method == "cells"
+        assert res.optimizer == tuple(c for c in unit_cells(f.d, f.n) if corner_sum(f, c) != 0.0)
+        assert_disjoint_and_resums(f, res)
 
 
-def test_local_search_is_lower_bound():
-    rng = np.random.default_rng(23)
-    for _ in range(5):
-        f = GridFunction(rng.uniform(-1, 1, size=(3, 3)))
-        brute = vitali_variation(f, method="brute")
-        local = vitali_variation(f, method="local_search")
-        assert local.value <= brute.value + 1e-12
-        assert_disjoint_and_resums(f, local)
-        assert not local.is_exact and local.method == "local_search"
-    empty = vitali_variation(f, method="local_search", budget=0)
-    assert empty.value == 0.0 and empty.optimizer == ()
+@pytest.mark.parametrize("d, n", [(2, 12), (3, 6)])
+def test_cells_dominate_random_disjoint_families(d, n):
+    rng = np.random.default_rng(100 * d + n)
+    f = GridFunction(rng.uniform(-1, 1, size=(n,) * d))
+    res = vitali_variation(f)
+    cells = unit_cells(d, n)
+    assert res.value == pytest.approx(math.fsum(abs(corner_sum(f, c)) for c in cells),
+                                      rel=1e-13)
+    assert len(res.optimizer) == len(cells)
+    assert_disjoint_and_resums(f, res)
+    boxes = all_boxes(d, n)
+    for _ in range(50):
+        family = []
+        for i in rng.permutation(len(boxes))[:60]:
+            if not any(boxes_overlap(boxes[i], b) for b in family):
+                family.append(boxes[i])
+        total = math.fsum(abs(corner_sum(f, b)) for b in family)
+        assert total <= res.value + 1e-12 * (1.0 + res.value)
 
 
 def test_vitali_d1_is_jordan():
     rng = np.random.default_rng(29)
     for _ in range(10):
         f = GridFunction(rng.uniform(-1, 1, size=6))
-        assert vitali_variation(f).value == pytest.approx(jordan_variation(f), abs=1e-12)
+        assert vitali_variation(f).value == jordan_variation(f)
 
 
 def test_jordan_and_wiener():
@@ -189,14 +198,3 @@ def test_tonelli_behaviors():
             lines.append(jordan_variation(partial_function(f2, anchor, (axis,))))
         manual.append(sum(lines) / 4.0)
     assert tonelli_variation(f2) == pytest.approx(math.fsum(manual), abs=1e-12)
-
-
-def test_guards_and_method_validation():
-    big = GridFunction(np.zeros((6, 6)))
-    with pytest.raises(GuardError):
-        vitali_variation(big, method="brute")
-    wide = GridFunction(np.zeros((12, 12)))
-    with pytest.raises(GuardError):
-        vitali_variation(wide, method="partitions")
-    with pytest.raises(GridvarError):
-        vitali_variation(GridFunction(np.zeros(3)), method="nope")

@@ -7,7 +7,7 @@ import types
 import numpy as np
 import pytest
 
-from gridvar import GridFunction
+from gridvar import GridFunction, hardy_krause_variation
 from gridvar.cli import main
 from gridvar.grid_io import dump_json, grid_payload
 
@@ -137,6 +137,16 @@ def test_classical_golden(tmp_path, capsys):
     sums = write_grid(tmp_path, x[:, None] + x[None, :], "sums.json")
     code, out, _ = run_cli(capsys, ["classical", sums, "--notion", "tonelli"])
     assert parse(out)["value"] == pytest.approx(2.0, abs=1e-12)
+
+
+def test_classical_hardy_krause_matches_library_bitwise(tmp_path, capsys):
+    rng = np.random.default_rng(0)
+    for _ in range(30):  # the builtin sum differs in the last bit on several
+        f = GridFunction(rng.uniform(-1, 1, size=(4, 4)))
+        path = write_grid(tmp_path, f.values)
+        code, out, _ = run_cli(capsys, ["classical", path, "--notion", "hardy-krause"])
+        assert code == 0
+        assert parse(out)["value"] == hardy_krause_variation(f)
 
 
 def test_classical_d1_vitali_redirects(tmp_path, capsys):
