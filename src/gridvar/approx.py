@@ -184,7 +184,8 @@ def best_minimax_poly(f: GridFunction, cube: LatticeCube, k: int) -> ApproxResul
     error U = max|f - m| and the lower bound L = |sum lambda' f| / ||lambda'||_1
     of the annihilating part lambda' of lambda must agree, and bracket the
     value, to CERT_TOL * 2^e. Raises LPError (with the cube and k in the
-    message) otherwise, or if the solver fails. The certificate lists the
+    message) otherwise, or if the solver fails, and GridvarError if the
+    minimizer overflows float64. The certificate lists the
     lattice points whose error is within CERT_TOL * 2^e of the value.
     """
     if k < 1:
@@ -193,8 +194,8 @@ def best_minimax_poly(f: GridFunction, cube: LatticeCube, k: int) -> ApproxResul
     basis = _cube_basis(f.d, cube.side, k)
     npts, rank = basis.q.shape
     fmax = float(np.max(np.abs(fvals)))
-    scale = math.ldexp(1.0, math.frexp(fmax)[1]) if fmax > 0.0 else 1.0
-    g = fvals / scale
+    e = math.frexp(fmax)[1]  # 0 when fmax is 0; 2^e itself can overflow
+    g = np.ldexp(fvals, -e)
 
     def fail(reason: str) -> LPError:
         return LPError(f"minimax LP failed on cube {cube.origin} side {cube.side}, k={k}: {reason}")
@@ -220,13 +221,19 @@ def best_minimax_poly(f: GridFunction, cube: LatticeCube, k: int) -> ApproxResul
     mass = float(np.sum(np.abs(lam)))
     lower = abs(float(lam @ g)) / mass if mass > 0.0 else 0.0
     if not (upper - lower <= CERT_TOL and lower - CERT_TOL <= value <= upper + CERT_TOL):
-        raise fail(f"certificate gap: lower {lower * scale:.17g}, value {value * scale:.17g}, "
-                   f"upper {upper * scale:.17g}")
+        with np.errstate(over="ignore"):
+            lower, value, upper = np.ldexp([lower, value, upper], e)
+        raise fail(f"certificate gap: lower {lower:.17g}, value {value:.17g}, upper {upper:.17g}")
 
+    with np.errstate(over="ignore"):
+        value_f, coef_f = float(np.ldexp(value, e)), np.ldexp(coef, e)
+    if not (math.isfinite(value_f) and np.all(np.isfinite(coef_f))):
+        raise GridvarError(f"minimax polynomial on cube {cube.origin} side {cube.side}, k={k}: "
+                           "its value or coefficients overflow float64")
     center, cube_scale = cube_frame(cube, f.n)
-    minimizer = make_polynomial(center, cube_scale, dict(zip(basis.alphas, coef * scale)))
-    certificate = tuple(pt for pt, e in zip(cube.lattice_points(), err) if e >= value - CERT_TOL)
-    return ApproxResult(value=value * scale, minimizer=minimizer, certificate=certificate)
+    minimizer = make_polynomial(center, cube_scale, dict(zip(basis.alphas, coef_f)))
+    certificate = tuple(pt for pt, ei in zip(cube.lattice_points(), err) if ei >= value - CERT_TOL)
+    return ApproxResult(value=value_f, minimizer=minimizer, certificate=certificate)
 
 
 def e_k(f: GridFunction, cube: LatticeCube, k: int) -> float:

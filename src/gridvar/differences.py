@@ -10,13 +10,17 @@ step sets are 0.
 All oscillation variants share one shift-subtract kernel, so the directional
 oscillation equals the mixed oscillation with a concentrated exponent
 bit-for-bit, and both scan a subset of the candidates of the isotropic one.
+osc_tables gives osc_k of every cube of a grid at once, from the same
+kernel run on the whole grid and window maxima (the weight table of the
+variation optimizers); osc_k stays the per-cube reference. A k-th
+difference (k >= 2) that overflows float64 raises GridvarError in both.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from typing import Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -75,11 +79,24 @@ def _shift_diff(values: np.ndarray, h: Sequence[int]) -> np.ndarray:
     return values[tuple(shifted)] - values[tuple(base)]
 
 
-def _max_abs_kth_diff(sub: np.ndarray, h: tuple[int, ...], k: int) -> float:
-    v = sub
+def _kth_diff(values: np.ndarray, h: Sequence[int], k: int) -> np.ndarray:
     for _ in range(k):
-        v = _shift_diff(v, h)
-    return float(np.max(np.abs(v))) if v.size else 0.0
+        values = _shift_diff(values, h)
+    return values
+
+
+def _overflow_message(k: int) -> str:
+    return f"a difference of order {k} overflows float64; rescale f"
+
+
+def _max_abs_kth_diff(sub: np.ndarray, h: tuple[int, ...], k: int) -> float:
+    """max |k-th difference|; raises if one overflowed (an inf, or inf - inf,
+    in the shift-subtract chain leaves its true value unknown)."""
+    v = _kth_diff(sub, h, k)
+    best = float(np.max(np.abs(v))) if v.size else 0.0
+    if not math.isfinite(best):
+        raise GridvarError(_overflow_message(k))
+    return best
 
 
 def _resolve_cube(f: GridFunction, cube: LatticeCube | None) -> LatticeCube:
@@ -113,6 +130,105 @@ def osc_k(f: GridFunction, cube: LatticeCube | None, k: int) -> float:
             continue
         best = max(best, _max_abs_kth_diff(sub, h, k))
     return best
+
+
+def _shifted_op(values: np.ndarray, axis: int, shift: int, size: int,
+                op=np.maximum) -> np.ndarray:
+    """op(values[i], values[i + shift]) along the axis, for i < size."""
+    lo = [slice(None)] * values.ndim
+    hi = [slice(None)] * values.ndim
+    lo[axis] = slice(0, size)
+    hi[axis] = slice(shift, shift + size)
+    return op(values[tuple(lo)], values[tuple(hi)])
+
+
+def _corner_reduce(table: np.ndarray, shift: int, op=np.maximum) -> np.ndarray:
+    """Per origin o, op (max or min) of table over the 2^d corners
+    o + shift*b with b in {0,1}^d, taken one axis at a time."""
+    for axis in range(table.ndim):
+        table = _shifted_op(table, axis, shift, table.shape[axis] - shift, op)
+    return table
+
+
+def _window_max(values: np.ndarray, axis: int, width: int) -> np.ndarray:
+    """Per index i along the axis, the max of values[i : i + width], from
+    maxima over power-of-two spans (a sparse table)."""
+    out = values.shape[axis] - width + 1
+    span = 1
+    while 2 * span <= width:
+        values = _shifted_op(values, axis, span, values.shape[axis] - span)
+        span *= 2
+    return _shifted_op(values, axis, width - span, out)
+
+
+def osc_tables(f: GridFunction, k: int,
+               sides: Iterable[int] | None = None) -> Iterator[tuple[int, np.ndarray]]:
+    """osc_k of every cube of each side at once, equal to osc_k bit for bit.
+
+    Yields (s, table) in ascending s for the given sides (every side
+    1..n-1 when None); table has shape (n - s,)^d and table[o] is
+    osc_k(f, LatticeCube(o, s), k). A side-s cube's lattice points are the
+    union of those of its 2^d corner cubes of any side t with s <= 2t + 1,
+    so for k = 1 the running max and min grow from side to side by corner
+    maxima (at most doubling the side). For k >= 2 a stencil x, x+h, ..,
+    x+kh fits a side-(s-1) corner cube unless k max|h_i| = s, so table s is
+    the corner max of table s-1 plus, when k divides s, the window maxima
+    of |k-th difference| over the whole grid for each new step h, of width
+    s - k|h_i| + 1 on axis i. Raises GridvarError, as osc_k does, when a
+    k-th difference (k >= 2) in a cube of a side up to the largest one
+    asked for overflows. Live memory is the retained tables plus one.
+    """
+    if k < 1:
+        raise GridvarError(f"oscillation order must be >= 1, got {k}")
+    wanted = sorted(set(range(1, f.n) if sides is None else sides))
+    if wanted and not 1 <= wanted[0] <= wanted[-1] <= f.n - 1:
+        raise GridvarError(f"cube sides must lie in 1..{f.n - 1}, got {wanted}")
+    if k == 1:
+        return _range_tables(f.values, wanted)
+    return _difference_tables(f.values, k, wanted)
+
+
+def _range_tables(values: np.ndarray, wanted: list[int]) -> Iterator[tuple[int, np.ndarray]]:
+    """max - min over every cube of each wanted side."""
+    hi = lo = values
+    t = 0
+    for s in wanted:
+        while t < s:
+            step = min(s, 2 * t + 1) - t
+            hi, lo = _corner_reduce(hi, step), _corner_reduce(lo, step, np.minimum)
+            t += step
+        yield s, hi - lo
+
+
+def _difference_tables(values: np.ndarray, k: int,
+                       wanted: list[int]) -> Iterator[tuple[int, np.ndarray]]:
+    """max |k-th difference| over every cube of each wanted side."""
+    # steps by reach max|h_i| and then by |h|, one of each {h, -h} pair; steps
+    # of one |h| share their windows, and merging them first is exact because
+    # any inf or NaN raises
+    reach = wanted[-1] // k if wanted else 0
+    steps: dict[int, dict[tuple[int, ...], list[tuple[int, ...]]]] = {}
+    for h in itertools.product(range(-reach, reach + 1), repeat=values.ndim):
+        if next((v for v in h if v != 0), 0) > 0:
+            size = tuple(abs(v) for v in h)
+            steps.setdefault(max(size), {}).setdefault(size, []).append(h)
+    table = np.zeros(values.shape)
+    t = 0
+    for s in wanted:
+        while t < s:
+            t += 1
+            table = _corner_reduce(table, 1)
+            if t % k:
+                continue  # no step is new at this side
+            for size, group in steps[t // k].items():
+                diff = np.maximum.reduce([np.abs(_kth_diff(values, h, k)) for h in group])
+                for axis, a in enumerate(size):
+                    if k * a < t:
+                        diff = _window_max(diff, axis, t - k * a + 1)
+                table = np.maximum(table, diff)
+        if not np.all(np.isfinite(table)):
+            raise GridvarError(_overflow_message(k))
+        yield s, table
 
 
 def osc_directional(f: GridFunction, cube: LatticeCube | None, k: int, axis: int) -> float:

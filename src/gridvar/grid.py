@@ -24,7 +24,7 @@ from .errors import GridvarError, GuardError
 ENUMERATION_CELL_LIMIT = 16
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class LatticeCube:
     """Axis-aligned lattice cube: all axes share one side length (in steps).
 

@@ -12,7 +12,9 @@ from __future__ import annotations
 
 import itertools
 import math
+import os
 import time
+import traceback
 from dataclasses import dataclass
 from typing import Callable, Iterator, Sequence
 
@@ -813,10 +815,29 @@ def _check_registry_complete() -> None:
 _check_registry_complete()
 
 
+def _run_invariant(invariant: str, config: SuiteConfig) -> list[CellResult]:
+    """The runner's cells; if it raises, the cells it yielded so far plus a
+    failing cell with the exception and the config that reproduces it."""
+    cells: list[CellResult] = []
+    try:
+        cells.extend(REGISTRY[invariant](config))
+    except Exception as exc:  # a broken invariant must not hide the others
+        frame = traceback.extract_tb(exc.__traceback__)[-1]
+        where = f"{os.path.basename(frame.filename)}:{frame.lineno} in {frame.name}"
+        cells.append(CellResult(
+            invariant=invariant, family="runner-error", seed=config.base_seed, ok=False,
+            slack=1.0, detail=f"runner raised {type(exc).__name__}: {exc} (at {where})",
+            repro={"invariants": [invariant], "seeds": config.seeds,
+                   "base_seed": config.base_seed},
+        ))
+    return cells
+
+
 def run_suite(config: SuiteConfig | dict | None = None) -> SuiteReport:
     """Run the selected invariants; failures are data in the report, not
-    exceptions. Two runs with the same config produce identical reports up
-    to the runtime field."""
+    exceptions, and so is a runner that raises (see _run_invariant). Two
+    runs with the same config produce identical reports up to the runtime
+    field."""
     if config is None:
         config = SuiteConfig()
     elif isinstance(config, dict):
@@ -840,7 +861,7 @@ def run_suite(config: SuiteConfig | dict | None = None) -> SuiteReport:
     start = time.perf_counter()
     cells: list[CellResult] = []
     for inv in invariants:
-        cells.extend(REGISTRY[inv](config))
+        cells.extend(_run_invariant(inv, config))
     cells.sort(key=lambda c: (c.invariant, c.family, c.seed))
     return SuiteReport(
         config={

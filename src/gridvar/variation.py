@@ -16,6 +16,17 @@ recursion over the dyadic cube tree, and hill-climbing local search over
 packings. Both are certified lower bounds because every packing's objective
 is one.
 
+Every optimizer takes its weights from one table per call (_weight_fn): the
+osc_k of every cube of the sides it needs, one array per side indexed by
+cube origin, built from whole-grid arrays by differences.osc_tables and
+equal to osc_k bit for bit; e_k with k = 1 is half of it. The table costs
+one array pass per side and, for k >= 2, one per step h with k max|h_i| up
+to the largest side, each over the whole grid. It holds sum (n - s)^d
+floats over the sides kept: those of the candidate cubes for the exact and
+local-search methods, the dyadic sides for dyadic. e_k with k >= 2 stays
+one memoized LP per cube. holder_seminorm takes the max of each side's
+table and enumerates no cubes.
+
 Capped variants restrict the packings: a cap on every cube's volume (the
 fine-mesh modulus) or on the total volume of the packing (the absolute
 continuity modulus). Both caps are applied as lattice integers: a mesh cap
@@ -31,8 +42,10 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
+import numpy as np
+
 from .approx import e_k
-from .differences import osc_k
+from .differences import osc_k, osc_tables
 from .errors import GridvarError, GuardError
 from .grid import (
     GridFunction,
@@ -87,14 +100,30 @@ def cube_weight(f: GridFunction, cube: LatticeCube, params: VariationParams) -> 
     return e_k(f, cube, params.k)
 
 
-def _weight_fn(f: GridFunction, params: VariationParams) -> Callable[[LatticeCube], float]:
-    """Memoized powered weight w(f;Q)^p, the item value of every optimizer."""
+def _weight_fn(f: GridFunction, params: VariationParams,
+               sides: Iterable[int]) -> Callable[[LatticeCube], float]:
+    """Memoized powered weight w(f;Q)^p, the item value of every optimizer.
+
+    osc_k, and e_k with k = 1 (half of osc_1), are read from one table of
+    every cube's weight for the given sides, built once by osc_tables; e_k
+    with k >= 2 is one LP per cube.
+    """
     cache: dict[LatticeCube, float] = {}
+    if params.weight == "osc_k" or params.k == 1:
+        tables = dict(osc_tables(f, params.k, sides))
+        if params.weight == "e_k":
+            tables = {s: t / 2.0 for s, t in tables.items()}
+
+        def raw(cube: LatticeCube) -> float:
+            return float(tables[cube.side][cube.origin])
+    else:
+        def raw(cube: LatticeCube) -> float:
+            return e_k(f, cube, params.k)
 
     def weight(cube: LatticeCube) -> float:
         got = cache.get(cube)
         if got is None:
-            got = cache[cube] = cube_weight(f, cube, params) ** params.p
+            got = cache[cube] = raw(cube) ** params.p
         return got
 
     return weight
@@ -193,7 +222,7 @@ def _exact_packing(f: GridFunction, params: VariationParams, cubes: Sequence[Lat
                    region: LatticeInterval | None,
                    budget: int | None = None) -> tuple[float, list[int]]:
     """max_weight_packing over the cubes, with item weights w(f;Q)^p."""
-    weight = _weight_fn(f, params)
+    weight = _weight_fn(f, params, {c.side for c in cubes})
     ncells = cell_count(f, region)
     anchored: list[list[tuple[int, int, float]]] = [[] for _ in range(ncells)]
     for idx, cube in enumerate(cubes):
@@ -253,8 +282,8 @@ def variation_dyadic(f: GridFunction, params: VariationParams,
     m = f.n - 1
     if m & (m - 1):
         raise GuardError(f"non-dyadic grid: n - 1 = {m} is not a power of two")
-    weight = _weight_fn(f, params)
     max_side = _max_side(f, mesh_cap)
+    weight = _weight_fn(f, params, [1 << j for j in range(m.bit_length()) if 1 << j <= max_side])
 
     def rec(cube: LatticeCube) -> tuple[float, list[LatticeCube]]:
         wp = weight(cube) if cube.side <= max_side else None
@@ -279,6 +308,16 @@ def variation_dyadic(f: GridFunction, params: VariationParams,
     )
 
 
+@functools.lru_cache(maxsize=16)
+def _grid_cubes(d: int, n: int) -> tuple[tuple[LatticeCube, ...], tuple[int, ...]]:
+    """Every cube of the {0..n-1}^d grid in (origin, side) order, with its
+    cell mask. Memoized like _dyadic_children, so local searches on one grid
+    shape share their candidate cubes."""
+    cubes = tuple(LatticeCube(o, side) for o in itertools.product(range(n - 1), repeat=d)
+                  for side in range(1, n - max(o)))
+    return cubes, tuple(cube_cell_mask(c, n) for c in cubes)
+
+
 def variation_local_search(
     f: GridFunction,
     params: VariationParams,
@@ -300,11 +339,13 @@ def variation_local_search(
     max_side = _max_side(f, mesh_cap)
     cell_budget = math.inf if volume_cap is None else _cell_budget(f, volume_cap)
     # the candidate table: a cube's grown and shrunk sides are its neighbours
-    cands = [c for c in enumerate_cubes(f, 1) if c.side <= max_side]
+    cubes, cube_masks = _grid_cubes(f.d, f.n)
+    keep = [i for i, c in enumerate(cubes) if c.side <= max_side]
+    cands = [cubes[i] for i in keep]
+    masks = [cube_masks[i] for i in keep]
     index = {c: i for i, c in enumerate(cands)}
-    masks = [cube_cell_mask(c, f.n) for c in cands]
     sizes = [c.side**f.d for c in cands]
-    weight = _weight_fn(f, params)
+    weight = _weight_fn(f, params, range(1, max_side + 1))
 
     seed_cubes = list(seed) if seed is not None else []
     for cube in seed_cubes:
@@ -405,13 +446,14 @@ def holder_seminorm(f: GridFunction, k: int, p: float) -> float:
 
     For any packing, sum osc^p <= (this max)^p * sum |Q| <= (this max)^p,
     since s*p = d makes the per-cube volume factors telescope; so the
-    oscillation-weighted variation never exceeds this seminorm.
+    oscillation-weighted variation never exceeds this seminorm. Computed
+    from the weight table one side at a time: each side's largest osc_k is
+    one array max over its (n - side)^d cubes, and no cube is enumerated.
     """
     s = smoothness(f.d, p)
     best = 0.0
-    for cube in enumerate_cubes(f, 1):
-        side = cube.side / (f.n - 1)
-        best = max(best, osc_k(f, cube, k) / side**s)
+    for side, table in osc_tables(f, k):  # rounding is monotone: max(x) / c == max(x / c)
+        best = max(best, float(np.max(table)) / (side / (f.n - 1))**s)
     return best
 
 

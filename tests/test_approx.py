@@ -217,6 +217,26 @@ def test_certificate_is_scale_invariant(family):
             assert best_minimax_poly(f, f.whole_cube(), k).certificate == base, (k, lam)
 
 
+def test_values_past_2_to_the_1023():
+    """max|f| >= 2^1023 is scaled by 2^-e without forming 2^e: the value,
+    minimizer and certificate are those of f/2, doubled."""
+    vals = np.array([0.0, 1.7e308, 0.0, 1.0])
+    f, half = GridFunction(vals), GridFunction(vals / 2.0)
+    got = best_minimax_poly(f, f.whole_cube(), 2)
+    want = best_minimax_poly(half, half.whole_cube(), 2)
+    assert got.value == 2.0 * want.value and got.value > 8e307
+    assert got.certificate == want.certificate
+    assert [c for _, c in got.minimizer.terms] == [2.0 * c for _, c in want.minimizer.terms]
+    assert e_k(f, f.whole_cube(), 2) == got.value
+
+
+def test_overflowing_minimizer_raises():
+    # the best quadratic through these has coefficients past float64's range
+    f = GridFunction([0.0, 1.7e308, -1.7e308, 1.0])
+    with pytest.raises(GridvarError, match="overflow"):
+        best_minimax_poly(f, f.whole_cube(), 3)
+
+
 def _highs_minimax(vals: np.ndarray, k: int) -> float:
     """min_m max |f - m| by HiGHS, in a tensor Legendre basis on [-1, 1]^d."""
     linprog = pytest.importorskip("scipy.optimize").linprog

@@ -7,9 +7,10 @@ import types
 import numpy as np
 import pytest
 
-from gridvar import GridFunction, hardy_krause_variation
+from gridvar import GridFunction, GridvarError, hardy_krause_variation
 from gridvar.cli import main
 from gridvar.grid_io import dump_json, grid_payload
+from gridvar.suite import REGISTRY
 
 
 def write_grid(tmp_path, values, name="g.json"):
@@ -234,6 +235,23 @@ def test_suite_failure_exit_1(capsys, monkeypatch):
     code, out, _ = run_cli(capsys, ["suite", "--seeds", "1"])
     assert code == 1
     assert parse(out)["ok"] is False
+
+
+def test_suite_raising_invariant_exit_1(capsys, monkeypatch):
+    def runner(cfg):
+        raise GridvarError("broken runner")
+        yield
+
+    monkeypatch.setitem(REGISTRY, "differences.linearity", runner)
+    code, out, _ = run_cli(capsys, ["suite", "--invariants",
+                                    "differences.linearity,differences.osc-shift-invariance",
+                                    "--seeds", "1", "--no-timing"])
+    assert code == 1
+    payload = parse(out)
+    failed = [c for c in payload["cells"] if not c["ok"]]
+    assert [c["invariant"] for c in failed] == ["differences.linearity"]
+    assert "broken runner" in failed[0]["detail"]
+    assert payload["summary"]["differences.osc-shift-invariance"]["passes"] == 1
 
 
 def test_suite_unknown_invariant_exit_2(capsys):

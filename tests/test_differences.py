@@ -168,3 +168,14 @@ def test_osc_cube_monotone():
     outer = LatticeCube((0, 0), 4)
     for k in (1, 2):
         assert osc_k(f, inner, k) <= osc_k(f, outer, k) + 1e-15
+
+
+def test_osc_raises_where_a_difference_overflows():
+    # the first differences overflow to -inf and inf; an inf or NaN in the
+    # shift-subtract chain leaves the k-th difference unknown
+    f = GridFunction([1.7e308, -1.7e308, 1.7e308])
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(GridvarError, match="overflow"):
+            osc_k(f, None, 2)
+        assert osc_k(f, LatticeCube((0,), 1), 2) == 0.0  # no stencil fits
+        assert osc_k(f, None, 1) == np.inf  # max - min overflows to inf

@@ -115,3 +115,30 @@ def test_summary_aggregates_constants():
     assert agg["passes"] == 1 and agg["failures"] == 1
     assert agg["worst_slack"] == 0.25
     assert agg["constants"]["c"] == 3.0
+
+
+def test_raising_runner_becomes_a_failing_cell(monkeypatch):
+    """A runner that raises after yielding one cell keeps that cell, adds a
+    failing cell with the exception and a config that reruns it, and the
+    other invariants still report every cell."""
+    broken, other = CHEAP
+    real = REGISTRY[broken]
+
+    def runner(cfg):
+        cells = real(cfg)
+        yield next(iter(cells))
+        raise GridvarError("interval (9,) exceeds grid extent 8")
+
+    monkeypatch.setitem(REGISTRY, broken, runner)
+    cfg = {"invariants": [broken, other], "seeds": 2, "base_seed": 3}
+    report = run_suite(cfg)
+    assert not report.ok
+    (failed,) = report.failures
+    assert failed.invariant == broken and failed.seed == 3
+    assert "GridvarError: interval (9,) exceeds grid extent 8" in failed.detail
+    assert failed.repro == {"invariants": [broken], "seeds": 2, "base_seed": 3}
+    assert sum(c.invariant == broken and c.ok for c in report.cells) == 1
+    others = [c for c in report.cells if c.invariant == other]
+    assert others and all(c.ok for c in others)
+    assert others == [c for c in run_suite({**cfg, "invariants": [other]}).cells]
+    dump_json(json_safe(report.to_payload()))
