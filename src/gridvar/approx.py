@@ -7,13 +7,16 @@ The degree-(k-1) minimax error
 
 is computed by the dual linear program over an orthonormal basis of the
 polynomials on the cube's lattice: tensor products of 1-d discrete
-orthonormal polynomials, shared by every cube of one side. The minimizer is
-recovered from the simplex multipliers and returned in monomials of the
-locally rescaled variable (x - center(Q)) / side(Q). Each value is certified
-from both sides (the minimizer's error above, an annihilating weight vector
-below) or LPError is raised. Cubes on which the polynomials interpolate get
-exactly 0 without an LP. For k = 1 the value has a closed form,
-(max - min)/2, used as a fast path by callers that only need the value.
+orthonormal polynomials, shared by every cube of one side. The LP's
+constraints depend only on (d, side, k), so its phase 1 runs once per
+(d, side, k) and each cube runs phase 2 only. The minimizer is recovered
+from the simplex multipliers and returned in monomials of the locally
+rescaled variable (x - center(Q)) / side(Q). Each value is certified from
+both sides (the minimizer's error above, an annihilating weight vector
+below) or LPError is raised; e_k runs the same certified LP and returns
+the value alone. Cubes on which the polynomials interpolate get exactly 0
+without an LP. For k = 1 the value has a closed form, (max - min)/2, used
+as a fast path by callers that only need the value.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ import numpy as np
 
 from .errors import GridvarError, GuardError, LPError
 from .grid import GridFunction, LatticeCube, check_cube_in_grid
-from .simplex import solve_lp
+from .simplex import FeasibleStart, feasible_start, solve_lp
 
 CERT_TOL = 1e-9
 _LP_TOL = 1e-12  # reduced-cost tolerance of the dual LP, whose data are O(1)
@@ -50,20 +53,26 @@ def poly_space_dim(d: int, k: int) -> int:
     return math.comb(k - 1 + d, d)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Polynomial:
     """Polynomial in the shifted variable z = (x - center)/scale.
 
-    `terms` maps multi-indices to coefficients: p(x) = sum c_a z^a.
+    p(x) = sum c_a z^a over the multi-indices a in `alphas` (graded order)
+    and the matching `coefficients`; `terms` gives the (a, c_a) pairs.
     """
 
     center: tuple[float, ...]
     scale: float
-    terms: tuple[tuple[tuple[int, ...], float], ...]
+    alphas: tuple[tuple[int, ...], ...]
+    coefficients: tuple[float, ...]
 
     @property
     def d(self) -> int:
         return len(self.center)
+
+    @property
+    def terms(self) -> tuple[tuple[tuple[int, ...], float], ...]:
+        return tuple(zip(self.alphas, self.coefficients))
 
     def evaluate(self, points: np.ndarray | Sequence) -> np.ndarray:
         """Evaluate at continuous points, shape (m, d) or (m,) when d = 1."""
@@ -72,18 +81,19 @@ class Polynomial:
             pts = pts[:, None] if self.d == 1 else pts[None, :]
         z = (pts - np.asarray(self.center)) / self.scale
         vals = np.zeros(len(z))
-        for alpha, coef in self.terms:
+        for alpha, coef in zip(self.alphas, self.coefficients):
             vals += coef * np.prod(z ** np.asarray(alpha), axis=1)
         return vals
 
 
 def make_polynomial(center: Sequence[float], scale: float,
                     coefficients: dict[tuple[int, ...], float]) -> Polynomial:
-    terms = tuple(sorted(coefficients.items(), key=lambda t: (sum(t[0]), t[0])))
-    return Polynomial(tuple(float(c) for c in center), float(scale), terms)
+    terms = sorted(coefficients.items(), key=lambda t: (sum(t[0]), t[0]))
+    return Polynomial(tuple(float(c) for c in center), float(scale),
+                      tuple(a for a, _ in terms), tuple(float(c) for _, c in terms))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ApproxResult:
     value: float
     minimizer: Polynomial
@@ -137,6 +147,8 @@ class _CubeBasis:
     q: np.ndarray  # orthonormal basis of the polynomial space, points x rank
     to_monomials: np.ndarray  # monomial coefficients of q's columns, monomials x rank
     A: np.ndarray  # dual LP constraints [Q^T, -Q^T, 0; 1, 1, 1]
+    b: np.ndarray  # their right-hand side (0, ..., 0, 1)
+    start: FeasibleStart | None  # phase 1 of the LP; None when the polynomials interpolate
 
 
 @functools.lru_cache(maxsize=64)
@@ -168,9 +180,19 @@ def _cube_basis(d: int, side: int, k: int) -> _CubeBasis:
     A[:-1, : q.shape[0]] = q.T
     A[:-1, q.shape[0] : -1] = -q.T
     A[-1] = 1.0
-    for arr in (monomials, q, to_monomials, A):
+    b = np.zeros(q.shape[1] + 1)
+    b[-1] = 1.0
+    for arr in (monomials, q, to_monomials, A, b):
         arr.flags.writeable = False
-    return _CubeBasis(tuple(alphas), monomials, q, to_monomials, A)
+    start = feasible_start(A, b, tol=_LP_TOL) if q.shape[0] > q.shape[1] else None
+    return _CubeBasis(tuple(alphas), monomials, q, to_monomials, A, b, start)
+
+
+@functools.lru_cache(maxsize=4096)
+def _lattice_point(*point: int) -> tuple[int, ...]:
+    """One shared tuple per recently certified lattice point, so the
+    certificates kept by callers share their points."""
+    return point
 
 
 def best_minimax_poly(f: GridFunction, cube: LatticeCube, k: int) -> ApproxResult:
@@ -179,14 +201,35 @@ def best_minimax_poly(f: GridFunction, cube: LatticeCube, k: int) -> ApproxResul
     Solved as the dual LP: maximize sum lambda_x g(x) subject to
     Q^T lambda = 0 and ||lambda||_1 <= 1, where g = f / 2^e (2^e near
     max|f|, so the scaling is exact) and Q is an orthonormal basis of the
-    polynomial space on the lattice. The minimizer comes from the simplex
-    multipliers. The value is certified from both sides: the minimizer's
-    error U = max|f - m| and the lower bound L = |sum lambda' f| / ||lambda'||_1
-    of the annihilating part lambda' of lambda must agree, and bracket the
-    value, to CERT_TOL * 2^e. Raises LPError (with the cube and k in the
-    message) otherwise, or if the solver fails, and GridvarError if the
-    minimizer overflows float64. The certificate lists the
-    lattice points whose error is within CERT_TOL * 2^e of the value.
+    polynomial space on the lattice. The LP's phase 1 is shared by every
+    cube of one (d, side, k); each cube runs phase 2 only. The minimizer
+    comes from the simplex multipliers. The value is certified from both
+    sides: the minimizer's error U = max|f - m| and the lower bound
+    L = |sum lambda' f| / ||lambda'||_1 of the annihilating part lambda' of
+    lambda must agree, and bracket the value, to CERT_TOL * 2^e. Raises
+    LPError (with the cube and k in the message) otherwise, or if the solver
+    fails, and GridvarError if the minimizer overflows float64. The
+    certificate lists the lattice points whose error is within
+    CERT_TOL * 2^e of the value.
+    """
+    value_f, coef_f, err, value = _certified_minimax(f, cube, k)
+    center, cube_scale = cube_frame(cube, f.n)
+    minimizer = Polynomial(center, cube_scale, _cube_basis(f.d, cube.side, k).alphas,
+                           tuple(coef_f.tolist()))
+    attained = (err >= value - CERT_TOL).tolist()
+    certificate = tuple(_lattice_point(*pt)
+                        for pt, hit in zip(cube.lattice_points(), attained) if hit)
+    return ApproxResult(value=value_f, minimizer=minimizer, certificate=certificate)
+
+
+def _certified_minimax(f: GridFunction, cube: LatticeCube,
+                       k: int) -> tuple[float, np.ndarray, np.ndarray, float]:
+    """The certified LP of best_minimax_poly (see there).
+
+    Returns the value and the minimizer's monomial coefficients (in the
+    order of _cube_basis(d, side, k).alphas), both in units of f, then the
+    errors |g - m| at the cube's lattice points (row-major) and the value,
+    both in units of 2^e, for the certificate.
     """
     if k < 1:
         raise GridvarError(f"approximation order must be >= 1, got {k}")
@@ -200,14 +243,12 @@ def best_minimax_poly(f: GridFunction, cube: LatticeCube, k: int) -> ApproxResul
     def fail(reason: str) -> LPError:
         return LPError(f"minimax LP failed on cube {cube.origin} side {cube.side}, k={k}: {reason}")
 
-    if npts == rank:  # the polynomials interpolate: the error is exactly 0
+    if basis.start is None:  # the polynomials interpolate: the error is exactly 0
         value, lam, y = 0.0, np.zeros(npts), -(basis.q.T @ g)
     else:
         c = np.concatenate([-g, g, [0.0]])
-        b = np.zeros(rank + 1)
-        b[-1] = 1.0
         try:
-            sol = solve_lp(c, basis.A, b, tol=_LP_TOL)
+            sol = solve_lp(c, basis.A, basis.b, tol=_LP_TOL, start=basis.start)
         except LPError as exc:
             raise fail(str(exc)) from exc
         value = max(-sol.objective, 0.0)  # a max of absolute values: below 0 is round-off
@@ -230,18 +271,17 @@ def best_minimax_poly(f: GridFunction, cube: LatticeCube, k: int) -> ApproxResul
     if not (math.isfinite(value_f) and np.all(np.isfinite(coef_f))):
         raise GridvarError(f"minimax polynomial on cube {cube.origin} side {cube.side}, k={k}: "
                            "its value or coefficients overflow float64")
-    center, cube_scale = cube_frame(cube, f.n)
-    minimizer = make_polynomial(center, cube_scale, dict(zip(basis.alphas, coef_f)))
-    certificate = tuple(pt for pt, ei in zip(cube.lattice_points(), err) if ei >= value - CERT_TOL)
-    return ApproxResult(value=value_f, minimizer=minimizer, certificate=certificate)
+    return value_f, coef_f, err, value
 
 
 def e_k(f: GridFunction, cube: LatticeCube, k: int) -> float:
-    """Minimax error value only. k = 1 uses the exact midrange identity."""
+    """Minimax error value only. k = 1 uses the exact midrange identity;
+    k >= 2 runs the certified LP of best_minimax_poly, with its errors, and
+    skips building the minimizer and the certificate."""
     if k == 1:
         sub = f.restrict(cube)
         return float(np.max(sub) - np.min(sub)) / 2.0
-    return best_minimax_poly(f, cube, k).value
+    return _certified_minimax(f, cube, k)[0]
 
 
 REFERENCE_POINT_LIMIT = 12

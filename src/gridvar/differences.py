@@ -13,7 +13,8 @@ bit-for-bit, and both scan a subset of the candidates of the isotropic one.
 osc_tables gives osc_k of every cube of a grid at once, from the same
 kernel run on the whole grid and window maxima (the weight table of the
 variation optimizers); osc_k stays the per-cube reference. A k-th
-difference (k >= 2) that overflows float64 raises GridvarError in both.
+difference (k >= 2) that overflows float64 raises GridvarError in all of
+them, the directional and mixed oscillations included.
 """
 
 from __future__ import annotations
@@ -245,7 +246,9 @@ def osc_mixed(f: GridFunction, cube: LatticeCube | None, alpha: Sequence[int]) -
 
     Axis i contributes an alpha_i-th difference with its own positive step;
     axes with alpha_i = 0 are untouched. With alpha concentrated on one axis
-    (alpha = k e_i) this is exactly the directional oscillation.
+    (alpha = k e_i) this is exactly the directional oscillation. Raises
+    GridvarError, as osc_k does, when a difference of order |alpha| >= 2
+    overflows.
     """
     cube = _resolve_cube(f, cube)
     alpha = as_multi_index(alpha, f.d)
@@ -257,6 +260,7 @@ def osc_mixed(f: GridFunction, cube: LatticeCube | None, alpha: Sequence[int]) -
         if reach == 0:
             return 0.0
         ranges.append(range(1, reach + 1))
+    order = sum(alpha)
     best = 0.0
     for steps in itertools.product(*ranges):
         v = sub
@@ -265,7 +269,10 @@ def osc_mixed(f: GridFunction, cube: LatticeCube | None, alpha: Sequence[int]) -
             for _ in range(alpha[i]):
                 v = _shift_diff(v, h)
         if v.size:
-            best = max(best, float(np.max(np.abs(v))))
+            top = float(np.max(np.abs(v)))
+            if order >= 2 and not math.isfinite(top):
+                raise GridvarError(_overflow_message(order))
+            best = max(best, top)
     return best
 
 

@@ -24,7 +24,8 @@ one array pass per side and, for k >= 2, one per step h with k max|h_i| up
 to the largest side, each over the whole grid. It holds sum (n - s)^d
 floats over the sides kept: those of the candidate cubes for the exact and
 local-search methods, the dyadic sides for dyadic. e_k with k >= 2 stays
-one memoized LP per cube. holder_seminorm takes the max of each side's
+one memoized LP per cube, whose phase 1 is shared by every cube of one
+(d, side, k): each cube runs phase 2 only. holder_seminorm takes the max of each side's
 table and enumerates no cubes.
 
 Capped variants restrict the packings: a cap on every cube's volume (the
@@ -106,7 +107,7 @@ def _weight_fn(f: GridFunction, params: VariationParams,
 
     osc_k, and e_k with k = 1 (half of osc_1), are read from one table of
     every cube's weight for the given sides, built once by osc_tables; e_k
-    with k >= 2 is one LP per cube.
+    with k >= 2 is one LP per cube (phase 2 only, from a shared start).
     """
     cache: dict[LatticeCube, float] = {}
     if params.weight == "osc_k" or params.k == 1:

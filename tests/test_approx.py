@@ -36,6 +36,8 @@ def test_polynomial_evaluate():
     p = make_polynomial((0.5, 0.5), 1.0, {(0, 0): 1.0, (1, 0): 2.0})
     vals = p.evaluate(np.array([[0.5, 0.0], [1.0, 0.25]]))
     assert vals == pytest.approx([1.0, 2.0])
+    assert p.alphas == ((0, 0), (1, 0)) and p.coefficients == (1.0, 2.0)
+    assert p.terms == (((0, 0), 1.0), ((1, 0), 2.0))
 
 
 def test_cube_frame():
@@ -295,11 +297,23 @@ def test_interpolating_cubes_give_exact_zeros():
                 assert e_k(f1, cube, k) == 0.0
 
 
-@pytest.mark.parametrize("field, perturb", [
-    ("objective", lambda v: v * (1 + 1e-6)),  # a value off the optimum
-    ("multipliers", lambda y: y + 1e-6),  # a minimizer off the optimum
-], ids=["value", "minimizer"])
-def test_uncertified_solution_raises(monkeypatch, field, perturb):
+def _value_of_best(f, cube, k):
+    return best_minimax_poly(f, cube, k).value
+
+
+_OFF_VALUE = ("objective", lambda v: v * (1 + 1e-6))  # a value off the optimum
+_OFF_MINIMIZER = ("multipliers", lambda y: y + 1e-6)  # a minimizer off the optimum
+
+
+@pytest.mark.parametrize("entry, field, perturb", [
+    (_value_of_best, *_OFF_VALUE),
+    (_value_of_best, *_OFF_MINIMIZER),
+    (e_k, *_OFF_VALUE),
+    (e_k, *_OFF_MINIMIZER),
+], ids=["value", "minimizer", "e_k-value", "e_k-minimizer"])
+def test_uncertified_solution_raises(monkeypatch, entry, field, perturb):
+    """Both entry points check the two-sided certificate; e_k discards the
+    minimizer but not the check on it."""
     solve = approx.solve_lp
 
     def wrong(c, A, b, **kw):
@@ -307,7 +321,17 @@ def test_uncertified_solution_raises(monkeypatch, field, perturb):
         return dataclasses.replace(sol, **{field: perturb(getattr(sol, field))})
 
     f = GridFunction(np.random.default_rng(5).uniform(-1.0, 1.0, size=9))
-    assert best_minimax_poly(f, f.whole_cube(), 3).value > 0.0
+    assert entry(f, f.whole_cube(), 3) > 0.0
     monkeypatch.setattr(approx, "solve_lp", wrong)
     with pytest.raises(LPError, match="certificate"):
-        best_minimax_poly(f, f.whole_cube(), 3)
+        entry(f, f.whole_cube(), 3)
+
+
+@pytest.mark.parametrize("d, n", [(2, 5), (1, 17)])
+def test_e_k_is_the_value_of_best_minimax_poly(d, n):
+    """The value-only path returns best_minimax_poly's value exactly, on
+    every cube: interpolating ones (no LP) and ones sharing a phase-1 start."""
+    f = GridFunction(np.random.default_rng(17).uniform(-1.0, 1.0, size=(n,) * d))
+    for k in range(2, 5):
+        for cube in all_cubes(d, n):
+            assert e_k(f, cube, k) == best_minimax_poly(f, cube, k).value, (cube, k)

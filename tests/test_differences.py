@@ -179,3 +179,19 @@ def test_osc_raises_where_a_difference_overflows():
             osc_k(f, None, 2)
         assert osc_k(f, LatticeCube((0,), 1), 2) == 0.0  # no stencil fits
         assert osc_k(f, None, 1) == np.inf  # max - min overflows to inf
+
+
+def test_directional_and_mixed_raise_where_a_difference_overflows():
+    # both 4th differences along the axis are NaN (inf - inf in the chain);
+    # skipping them would report 0
+    f = GridFunction([1e308, 1.7e308, -1.7e308, -1e308, 1e308, 1.7e308])
+    with np.errstate(over="ignore", invalid="ignore"):
+        for osc in (lambda: osc_k(f, None, 4), lambda: osc_directional(f, None, 4, 0),
+                    lambda: osc_mixed(f, None, (4,))):
+            with pytest.raises(GridvarError, match="overflow"):
+                osc()
+        g = GridFunction(np.array([[1.7e308, -1.7e308], [0.0, 0.0]]))
+        with pytest.raises(GridvarError, match="overflow"):
+            osc_mixed(g, None, (1, 1))
+        # a first difference that overflows is still +-inf, as osc_k(., 1) is
+        assert osc_directional(g, None, 1, 1) == np.inf

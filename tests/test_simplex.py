@@ -3,9 +3,26 @@ import pytest
 
 from gridvar import simplex
 from gridvar.errors import LPError
-from gridvar.simplex import solve_lp
+from gridvar.simplex import feasible_start, solve_lp
 
 from oracles import lp_reference
+
+
+def _assert_warm_equals_cold(c, A, b):
+    """A shared phase-1 start gives the cold solve's result bit for bit,
+    and the start is left unchanged for the next solve."""
+    cold = solve_lp(c, A, b)
+    start = feasible_start(A, b)
+    tableau = start.tableau.copy()
+    for _ in range(2):
+        warm = solve_lp(c, A, b, start=start)
+        assert np.array_equal(warm.x, cold.x)
+        assert np.array_equal(warm.multipliers, cold.multipliers)
+        assert np.array_equal(warm.reduced_costs, cold.reduced_costs)
+        assert warm.objective == cold.objective
+        assert warm.iterations == cold.iterations - start.iterations
+    assert np.array_equal(start.tableau, tableau)
+    return cold
 
 
 def test_known_lp():
@@ -19,8 +36,9 @@ def test_known_lp():
 
 def test_negative_rhs_is_flipped():
     # -x1 = -1 with x1 >= 0 is feasible at x1 = 1
-    sol = solve_lp(np.array([1.0]), np.array([[-1.0]]), np.array([-1.0]))
+    sol = _assert_warm_equals_cold(np.array([1.0]), np.array([[-1.0]]), np.array([-1.0]))
     assert sol.x[0] == pytest.approx(1.0)
+    assert sol.multipliers[0] == pytest.approx(-1.0)
 
 
 def test_infeasible_raises():
@@ -38,13 +56,35 @@ def test_unbounded_raises():
 def test_redundant_row_handled():
     A = np.array([[1.0, 1.0, 1.0], [2.0, 2.0, 2.0]])  # second row redundant
     b = np.array([1.0, 2.0])
-    sol = solve_lp(np.array([1.0, 2.0, 3.0]), A, b)
+    sol = _assert_warm_equals_cold(np.array([1.0, 2.0, 3.0]), A, b)
     assert sol.objective == pytest.approx(1.0, abs=1e-12)
+    assert feasible_start(A, b).tableau.shape == (1, 5)  # the redundant row is dropped
 
 
 def test_shape_mismatch():
     with pytest.raises(LPError):
         solve_lp(np.array([1.0]), np.array([[1.0, 2.0]]), np.array([1.0]))
+
+
+def test_start_shape_mismatch():
+    A, b = np.array([[1.0, 1.0, 1.0]]), np.array([1.0])
+    start = feasible_start(A, b)
+    assert start.shape == (1, 3)
+    with pytest.raises(LPError, match="shapes"):
+        solve_lp(np.array([1.0, 2.0]), A[:, :2], b, start=start)
+    with pytest.raises(LPError, match="shapes"):
+        solve_lp(np.array([1.0, 2.0, 3.0, 4.0]), A, b, start=start)
+    # the start is for A's shape, whatever A is passed
+    with pytest.raises(LPError, match="shapes"):
+        solve_lp(np.array([1.0, 2.0, 3.0]), np.ones((2, 3)), np.ones(2), start=start)
+
+
+def test_start_is_read_only_and_infeasibility_is_raised_by_phase_1():
+    start = feasible_start(np.array([[1.0, 1.0]]), np.array([1.0]))
+    with pytest.raises(ValueError):
+        start.tableau[0, 0] = 2.0
+    with pytest.raises(LPError, match="infeasible"):
+        feasible_start(np.array([[1.0, 1.0]]), np.array([-1.0]))
 
 
 def test_random_bounded_lps_match_vertex_enumeration():
@@ -59,7 +99,7 @@ def test_random_bounded_lps_match_vertex_enumeration():
         b = A @ x0  # feasible by construction
         c = rng.uniform(-1, 1, size=nvars)
         ref, _ = lp_reference(c, A, b)
-        sol = solve_lp(c, A, b)
+        sol = _assert_warm_equals_cold(c, A, b)
         assert sol.objective == pytest.approx(ref, abs=1e-8)
         assert np.min(sol.reduced_costs) >= -1e-9
         assert np.min(sol.x) >= -1e-9
@@ -80,7 +120,7 @@ def test_degenerate_ties_terminate():
     ])
     b = np.array([1.0, 1.0, 1.0])
     c = np.array([-1.0, -1.0, 0.0, 0.0, 0.0])
-    sol = solve_lp(c, A, b)
+    sol = _assert_warm_equals_cold(c, A, b)
     ref, _ = lp_reference(c, A, b)
     assert sol.objective == pytest.approx(ref, abs=1e-10)
 
@@ -98,7 +138,7 @@ BEALE_C = np.array([0.0, 0.0, 0.0, -0.75, 20.0, -0.5, 6.0])
 
 
 def test_beale_cycling_lp():
-    sol = solve_lp(BEALE_C, BEALE_A, BEALE_B)
+    sol = _assert_warm_equals_cold(BEALE_C, BEALE_A, BEALE_B)
     assert sol.objective == -1.25
     assert BEALE_B @ sol.multipliers == pytest.approx(-1.25, abs=1e-12)
 
